@@ -18,7 +18,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from pdmwire import canonical as can          # noqa: E402
 from pdmwire import noncanonical as nc        # noqa: E402
 from pdmwire import oracle                    # noqa: E402
-from pdmwire.model import make_params         # noqa: E402
+from pdmwire.model import branch, make_params  # noqa: E402
 
 CASES = (
     # label, a, gamma, parity, n, m
@@ -38,12 +38,9 @@ def exact_eigenvalue(p, parity, n, m):
 
 
 def solver_eigenvalue(p, parity, n, m, npoints):
-    if parity == "none":
-        m_sq, sign = float(m * m), 0
-    else:
-        me = nc.m_eff(parity, p.gamma, m)
-        m_sq, sign = me * me, (-1 if parity == "even" else 1)
-    op = oracle.build_radial_operator(p, m_sq, sign, npoints=npoints,
+    br = branch(parity)
+    me = br.m_index(p.gamma, m)
+    op = oracle.build_radial_operator(p, float(me * me), br.sign, npoints=npoints,
                                       n_target=n + 2)
     return oracle.lowest_eigenvalues(op, n + 1)[n]
 

@@ -8,8 +8,8 @@ The stationary states separate as Ψ = P_nm(ρ) Φ_m(φ) Z(z) with
 
 Φ_m = e^{imφ}/√(2π), Z = e^{iκz z}/√(2π).  C_nm makes ∫ P² ρ dρ = 1.  The
 same radial template with a different ν serves the non-canonical branch, so
-the evaluator helpers here are shared (guaranteeing the two branches agree
-bitwise where they coincide at γ = 1/2).
+the evaluator helpers here take a `Branch` record and are shared
+(guaranteeing the branches agree bitwise where they coincide at γ = 1/2).
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, QuantumNumbers
+from .model import Branch, ModelParams, QuantumNumbers, branch
 from .specialfn import laguerre, log_gamma
 
 __all__ = [
@@ -36,11 +36,11 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+CANONICAL = branch("none")
 
 
 # ---------------------------------------------------------------------------
-# shared radial template (canonical: radicand = m² + a²/4; non-canonical
-# branches pass their own radicand and reuse everything below unchanged)
+# shared radial template: every branch differs only in its radicand ν²
 
 def radial_profile(p: ModelParams, n: int, radicand: float):
     """Derived radial quantities (ν, s, α, log C) for a given radicand ν²."""
@@ -66,6 +66,8 @@ def radial_eval(p: ModelParams, n: int, s: float, alpha_l: float,
     sentinel for s < 0.
     """
     rho_arr = np.asarray(rho, dtype=float)
+    if not np.all(np.isfinite(rho_arr)):
+        raise ValueError("rho must be finite")
     if np.any(rho_arr < 0):
         raise ValueError("rho must be >= 0")
     scalar = rho_arr.ndim == 0
@@ -91,6 +93,24 @@ def radial_eval(p: ModelParams, n: int, s: float, alpha_l: float,
     return float(out[0]) if scalar else out
 
 
+def branch_radial(p: ModelParams, br: Branch, n: int, m: int, rho):
+    """Normalized radial factor of any branch: the template at br's radicand."""
+    _, s, alpha_l, log_norm = radial_profile(p, n, br.radicand(p, m))
+    return radial_eval(p, n, s, alpha_l, log_norm, rho)
+
+
+def branch_energy(p: ModelParams, br: Branch, n: int, m: int) -> float:
+    """In-plane energy ħω[(a+1)(2n+1) + ν] of any branch, ν² its radicand."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    rad = br.radicand(p, m)
+    if rad < 0:
+        raise ValueError(
+            f"negative radicand {rad} for parity={br.parity}, gamma={p.gamma}, "
+            f"a={p.a}, m={m}: the {br.parity}-branch energy is undefined here")
+    return p.hbar * p.omega * ((p.a + 1.0) * (2 * n + 1) + math.sqrt(rad))
+
+
 # ---------------------------------------------------------------------------
 # canonical state
 
@@ -111,13 +131,9 @@ class CanonicalState:
         return self.E_radial + self.E_axial
 
 
-def _radicand(a: float, m: int) -> float:
-    return m * m + 0.25 * a * a
-
-
 def canonical_state(p: ModelParams, n: int, m: int, kappa_z: float = 0.0) -> CanonicalState:
     q = QuantumNumbers(n=n, m=m, parity="none", kappa_z=kappa_z)
-    nu, s, alpha_l, log_norm = radial_profile(p, n, _radicand(p.a, m))
+    nu, s, alpha_l, log_norm = radial_profile(p, n, CANONICAL.radicand(p, m))
     return CanonicalState(
         params=p, q=q, alpha_L=alpha_l, rho_exponent=s,
         norm=math.exp(log_norm),
@@ -128,10 +144,7 @@ def canonical_state(p: ModelParams, n: int, m: int, kappa_z: float = 0.0) -> Can
 
 def energy_radial(p: ModelParams, n: int, m: int) -> float:
     """In-plane energy ħω(a+1)[2n + 1 + √(m²+a²/4)/(a+1)]."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    nu = math.sqrt(_radicand(p.a, m))
-    return p.hbar * p.omega * ((p.a + 1.0) * (2 * n + 1) + nu)
+    return branch_energy(p, CANONICAL, n, m)
 
 
 def energy_total(p: ModelParams, n: int, m: int, kappa_z: float = 0.0) -> float:
@@ -152,14 +165,13 @@ def norm_coeff(p: ModelParams, n: int, m: int) -> float:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    _, _, _, log_norm = radial_profile(p, n, _radicand(p.a, m))
+    _, _, _, log_norm = radial_profile(p, n, CANONICAL.radicand(p, m))
     return math.exp(log_norm)
 
 
 def radial_wavefunction(p: ModelParams, n: int, m: int, rho):
     """Normalized radial factor P_nm(ρ); see module docstring for the form."""
-    _, s, alpha_l, log_norm = radial_profile(p, n, _radicand(p.a, m))
-    return radial_eval(p, n, s, alpha_l, log_norm, rho)
+    return branch_radial(p, CANONICAL, n, m, rho)
 
 
 def angular(m: int, phi):

@@ -13,21 +13,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import canonical as can
-from . import noncanonical as nc
 from .fields import angular_trace, build_density_field, potential_trace, radial_trace
-from .model import make_params
+from .model import PARITIES, branch, make_params
 from .verification import run_verification
 
 __all__ = ["RunConfig", "main"]
-
-PARITY_CHOICES = ("none", "even", "odd")
 
 
 def _fmt(x) -> str:
@@ -116,8 +113,9 @@ def _load_config(path: str) -> dict:
     return options
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags, with typed conversion."""
+def _resolve(args: argparse.Namespace, defaults: dict, converters: dict = None) -> dict:
+    """defaults < config file < flags; config values typed by _OPTION_TYPES | converters."""
+    types = dict(_OPTION_TYPES, **(converters or {}))
     resolved = dict(defaults)
     if getattr(args, "config", None):
         for key, raw in _load_config(args.config).items():
@@ -125,7 +123,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
                 raise _UsageError(
                     f"config key {key!r} is not an option of this command")
             try:
-                resolved[key] = _OPTION_TYPES[key](raw)
+                resolved[key] = types[key](raw)
             except ValueError as exc:
                 raise _UsageError(f"config value {key}={raw!r}: {exc}") from exc
     for key in defaults:
@@ -145,9 +143,12 @@ def _params_from(options: dict):
 def _write_text(path, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _csv_header(config: RunConfig, extra: dict = None) -> list:
@@ -166,35 +167,24 @@ def _cmd_spectrum(args) -> int:
     defaults = {"a": 0.0, "gamma": 0.5, "kz": 0.0, "nmax": 2, "mmax": 2,
                 "parity": "none", "format": "csv", "out": None}
     options = _resolve(args, defaults)
-    if options["parity"] not in PARITY_CHOICES:
-        raise _UsageError(f"parity must be one of {PARITY_CHOICES}")
     if options["nmax"] < 0 or options["mmax"] < 0:
         raise _UsageError("nmax and mmax must be >= 0")
     if options["format"] not in ("csv", "json"):
         raise _UsageError("format must be csv or json")
     p = _params_from(options)
     kz = options["kz"]
-    parity = options["parity"]
     e_axial = p.hbar ** 2 * kz ** 2 / (2.0 * p.m0)
 
     rows = []
-    if parity == "none":
-        m_range = range(-options["mmax"], options["mmax"] + 1)
+    try:
+        br = branch(options["parity"])
         for n in range(options["nmax"] + 1):
-            for m in m_range:
-                e_rad = can.energy_radial(p, n, m)
-                rows.append(("canonical", n, m, "none", e_rad, e_axial,
+            for m in br.m_range(options["mmax"]):
+                e_rad = can.branch_energy(p, br, n, m)
+                rows.append((br.family, n, m, br.parity, e_rad, e_axial,
                              e_rad + e_axial))
-    else:
-        energy = nc.energy_even if parity == "even" else nc.energy_odd
-        for n in range(options["nmax"] + 1):
-            for m in range(options["mmax"] + 1):
-                try:
-                    e_rad = energy(p, n, m, 0.0)
-                except ValueError as exc:
-                    raise _UsageError(str(exc)) from exc
-                rows.append(("noncanonical", n, m, parity, e_rad, e_axial,
-                             e_rad + e_axial))
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
     config = RunConfig("spectrum", options)
     if options["format"] == "json":
@@ -220,28 +210,21 @@ def _cmd_spectrum(args) -> int:
 def _cmd_potential(args) -> int:
     defaults = {"a": "0", "gamma": 0.5, "rho_max": None, "npoints": 401,
                 "outdir": None}
-    options = dict(defaults)
-    if getattr(args, "config", None):
-        for key, raw in _load_config(args.config).items():
-            if key not in defaults:
-                raise _UsageError(
-                    f"config key {key!r} is not an option of this command")
-            options[key] = raw
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = value
+    options = _resolve(args, defaults, converters={"a": str})
+    gamma, npoints, rho_max = options["gamma"], options["npoints"], options["rho_max"]
     try:
-        a_values = [float(tok) for tok in str(options["a"]).split(",") if tok.strip()]
-        gamma = float(options["gamma"])
-        npoints = int(options["npoints"])
-        rho_max = None if options["rho_max"] is None else float(options["rho_max"])
+        a_values = [float(tok) for tok in options["a"].split(",") if tok.strip()]
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     if not a_values:
         raise _UsageError("potential needs at least one a value")
     if npoints < 2:
         raise _UsageError("npoints must be >= 2")
+    if options["outdir"] is not None:
+        try:
+            os.makedirs(options["outdir"], exist_ok=True)
+        except OSError as exc:
+            raise _UsageError(f"cannot create {options['outdir']!r}: {exc}") from exc
 
     for a in a_values:
         try:
@@ -272,14 +255,10 @@ def _cmd_wavefunction(args) -> int:
                 "trace": "radial", "rho_max": None, "npoints": 801,
                 "out": None}
     options = _resolve(args, defaults)
-    if options["parity"] not in PARITY_CHOICES:
-        raise _UsageError(f"parity must be one of {PARITY_CHOICES}")
     if options["trace"] not in ("radial", "angular"):
         raise _UsageError("trace must be radial or angular")
     if options["n"] < 0:
         raise _UsageError("n must be >= 0")
-    if options["parity"] != "none" and options["m"] < 0:
-        raise _UsageError("non-canonical branches use m >= 0")
     p = _params_from(options)
 
     try:
@@ -322,8 +301,6 @@ def _cmd_density(args) -> int:
     defaults = {"a": 0.0, "gamma": 0.5, "n": 0, "m": 0, "parity": "none",
                 "ngrid": 201, "half_width": None, "out": None}
     options = _resolve(args, defaults)
-    if options["parity"] not in PARITY_CHOICES:
-        raise _UsageError(f"parity must be one of {PARITY_CHOICES}")
     if options["n"] < 0:
         raise _UsageError("n must be >= 0")
     if options["ngrid"] < 2:
@@ -399,7 +376,7 @@ def _add_common(sub, *names):
     if "gamma" in names:
         sub.add_argument("--gamma", type=float, help="confinement strength (>= 1/2)")
     if "parity" in names:
-        sub.add_argument("--parity", choices=PARITY_CHOICES,
+        sub.add_argument("--parity", choices=PARITIES,
                          help="none = canonical branch, else non-canonical parity")
     if "n" in names:
         sub.add_argument("--n", type=int, help="radial quantum number")

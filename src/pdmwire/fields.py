@@ -29,7 +29,7 @@ import numpy as np
 from . import canonical as can
 from . import noncanonical as nc
 from .canonical import radial_eval, radial_profile
-from .model import ModelParams
+from .model import ModelParams, branch
 from .specialfn import gauss_legendre, laguerre
 
 __all__ = ["DensityField", "build_density_field", "riemann_mass", "radial_trace",
@@ -100,6 +100,13 @@ def _mass_quantile_t(n: int, alpha_l: float, frac: float) -> float:
     return hi
 
 
+def _mass_window(p: ModelParams, n: int, alpha_l: float, mass_tail: float) -> float:
+    """max(4/λ0, 1.05 × the radius holding all but mass_tail of the radial mass)."""
+    t_q = _mass_quantile_t(n, alpha_l, 1.0 - mass_tail)
+    zeta_q = ((p.a + 1.0) * t_q) ** (1.0 / (2.0 * (p.a + 1.0)))
+    return max(4.0 / p.lambda0, 1.05 * zeta_q / p.lambda0)
+
+
 # ---------------------------------------------------------------------------
 # origin-region disc averages
 
@@ -152,14 +159,20 @@ def _offcenter_disc_averages(dens2d, centers_x, centers_y, rc: float,
     return np.einsum("krt,r->k", dens, wv) / ntheta
 
 
+def _disc_averages(dens2d, radial_sq, s: float, rc: float, cx, cy) -> np.ndarray:
+    """Disc averages about the lattice points (cx, cy), the axis point exactly."""
+    avg = np.empty(cx.size)
+    origin = (cx == 0.0) & (cy == 0.0)
+    if np.any(origin):
+        avg[origin] = _origin_disc_average(radial_sq, s, rc)
+    off = ~origin
+    if np.any(off):
+        avg[off] = _offcenter_disc_averages(dens2d, cx[off], cy[off], rc)
+    return avg
+
+
 # ---------------------------------------------------------------------------
 # raster construction
-
-def _branch_radicand(p: ModelParams, m: int, parity: str) -> float:
-    if parity == "none":
-        return m * m + 0.25 * p.a * p.a
-    return nc._radicand_nc(p, parity, m)
-
 
 def build_density_field(p: ModelParams, n: int, m: int, parity: str = "none",
                         ngrid: int = GRID_DEFAULT, half_width: float = None,
@@ -173,17 +186,13 @@ def build_density_field(p: ModelParams, n: int, m: int, parity: str = "none",
     """
     if ngrid < 2:
         raise ValueError("ngrid must be at least 2")
-    if parity == "even" and not p.gamma > 0.5:
-        raise ValueError("even branch requires gamma > 1/2")
-    radicand = _branch_radicand(p, m, parity)
-    if parity != "none" and m < 0:
-        raise ValueError("non-canonical branches use a non-negative index m")
+    br = branch(parity)
+    br.check_wavefunction(p.gamma)
+    radicand = br.radicand(p, m)
     nu, s, alpha_l, log_norm = radial_profile(p, n, radicand)
 
     if half_width is None:
-        t_q = _mass_quantile_t(n, alpha_l, 1.0 - mass_tail)
-        zeta_q = ((p.a + 1.0) * t_q) ** (1.0 / (2.0 * (p.a + 1.0)))
-        half_width = max(4.0 / p.lambda0, 1.05 * zeta_q / p.lambda0)
+        half_width = _mass_window(p, n, alpha_l, mass_tail)
         window_rule = "mass_quantile"
     else:
         window_rule = "explicit"
@@ -204,24 +213,15 @@ def build_density_field(p: ModelParams, n: int, m: int, parity: str = "none",
     rc = h / math.sqrt(math.pi)
     cut_ksq = 4 * ORIGIN_CUT_CELLS * ORIGIN_CUT_CELLS   # ρ < 24 h in doubled-offset units
 
-    if parity == "none":
+    if br.sign == 0:
         ku, inverse = np.unique(ksq, return_inverse=True)
         rho_u = 0.5 * h * np.sqrt(ku.astype(float))
         with np.errstate(invalid="ignore"):
             vals_u = radial_sq(rho_u) / TWO_PI
         if needs_avg:
             sel = ku < cut_ksq
-            centers = rho_u[sel]
-            avg = np.empty(centers.size)
-            on_axis = centers == 0.0
-            if np.any(on_axis):
-                avg[on_axis] = _origin_disc_average(radial_sq, s, rc)
-            off = ~on_axis
-            if np.any(off):
-                avg[off] = _offcenter_disc_averages(
-                    lambda x, y: radial_sq(np.hypot(x, y)) / TWO_PI,
-                    centers[off], np.zeros(int(np.count_nonzero(off))), rc)
-            vals_u[sel] = avg
+            vals_u[sel] = _disc_averages(lambda x, y: radial_sq(np.hypot(x, y)) / TWO_PI,
+                                         radial_sq, s, rc, rho_u[sel], np.zeros(sel.sum()))
         values = vals_u[inverse].reshape(ngrid, ngrid)
     else:
         phi = np.arctan2(dy.astype(float), dx.astype(float)) % TWO_PI
@@ -238,17 +238,10 @@ def build_density_field(p: ModelParams, n: int, m: int, parity: str = "none",
                 ph = np.arctan2(y, x) % TWO_PI
                 return radial_sq(np.hypot(x, y)) * np.square(nc._angular(p, parity, m, ph, strict=False))
 
-            avg = np.empty(cx.size)
-            origin = (cx == 0.0) & (cy == 0.0)
-            if np.any(origin):
-                avg[origin] = _origin_disc_average(radial_sq, s, rc)
-            off = ~origin
-            if np.any(off):
-                avg[off] = _offcenter_disc_averages(dens2d, cx[off], cy[off], rc)
-            values[mask] = avg
+            values[mask] = _disc_averages(dens2d, radial_sq, s, rc, cx, cy)
 
     metadata = {
-        "branch": "canonical" if parity == "none" else "noncanonical",
+        "branch": br.family,
         "a": p.a, "gamma": p.gamma, "n": n, "m": m, "parity": parity,
         "units": "natural" if (p.m0, p.omega, p.hbar) == (1.0, 1.0, 1.0) else "custom",
         "m0": p.m0, "omega": p.omega, "hbar": p.hbar, "lambda0": p.lambda0,
@@ -259,8 +252,8 @@ def build_density_field(p: ModelParams, n: int, m: int, parity: str = "none",
         "disc_radius": rc if needs_avg else 0.0,
         "rho_exponent": s, "alpha_L": alpha_l,
     }
-    if parity != "none":
-        metadata["m_eff"] = nc.m_eff(parity, p.gamma, m)
+    if br.sign:
+        metadata["m_eff"] = br.m_index(p.gamma, m)
         metadata["degenerate_contact"] = bool(radicand == 0.0)
     return DensityField(nx=ngrid, ny=ngrid,
                         x_range=(-half_width, half_width),
@@ -283,12 +276,9 @@ def potential_trace(p: ModelParams, rho_max: float = None, npoints: int = 401):
 def radial_trace(p: ModelParams, n: int, m: int, parity: str = "none",
                  rho_max: float = None, npoints: int = 801):
     """(ρ, P(ρ)) for the requested branch on a uniform grid."""
-    radicand = _branch_radicand(p, m, parity)
-    nu, s, alpha_l, log_norm = radial_profile(p, n, radicand)
+    _, s, alpha_l, log_norm = radial_profile(p, n, branch(parity).radicand(p, m))
     if rho_max is None:
-        t_q = _mass_quantile_t(n, alpha_l, 1.0 - MASS_TAIL_DEFAULT)
-        zeta_q = ((p.a + 1.0) * t_q) ** (1.0 / (2.0 * (p.a + 1.0)))
-        rho_max = max(4.0 / p.lambda0, 1.05 * zeta_q / p.lambda0)
+        rho_max = _mass_window(p, n, alpha_l, MASS_TAIL_DEFAULT)
     rho = np.linspace(0.0, rho_max, npoints)
     return rho, radial_eval(p, n, s, alpha_l, log_norm, rho)
 
@@ -299,6 +289,6 @@ def angular_trace(p: ModelParams, m: int, parity: str = "none", npoints: int = 7
     Canonical traces are complex (a pure phase); non-canonical are real.
     """
     phi = (np.arange(npoints) + 0.5) * (TWO_PI / npoints)
-    if parity == "none":
+    if branch(parity).sign == 0:
         return phi, can.angular(m, phi)
     return phi, nc._angular(p, parity, m, phi, strict=True)

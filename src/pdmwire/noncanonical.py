@@ -13,9 +13,9 @@ template as the canonical branch, with radicand
 
     ν² = m_eff² + a²/4 ∓ (2γ-1) a      (- even, + odd),
 
-so at γ = 1/2 the odd radial/energy forms collapse bitwise onto canonical
-states with m → m_eff.  The coefficients C^(e|o) normalize ∫₀^{2π} Φ² dφ
-to exactly 1.
+both written once on `model.Branch`, so at γ = 1/2 the odd radial/energy
+forms collapse bitwise onto canonical states with m → m_eff.  The
+coefficients C^(e|o) normalize ∫₀^{2π} Φ² dφ to exactly 1.
 """
 from __future__ import annotations
 
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import axial, radial_eval, radial_profile
-from .model import ModelParams, QuantumNumbers
+from .canonical import axial, branch_energy, branch_radial, radial_profile
+from .model import Branch, ModelParams, QuantumNumbers, branch
 from .specialfn import gegenbauer, log_gamma
 
 __all__ = [
@@ -49,15 +49,6 @@ TWO_PI = 2.0 * math.pi
 SINGULAR_ANGLES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 
 
-def _check_parity(parity: str) -> int:
-    """Return the radicand sign: -1 for even, +1 for odd."""
-    if parity == "even":
-        return -1
-    if parity == "odd":
-        return +1
-    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-
-
 def m_eff(parity: str, gamma: float, m: int) -> float:
     """Effective angular index: 2(γ+m) - 1 (even) or 2(γ+m) + 1 (odd).
 
@@ -65,23 +56,12 @@ def m_eff(parity: str, gamma: float, m: int) -> float:
     on cos 2φ only, so the positive magnitude labels the state and the
     sign multiplicity is a twofold degeneracy.
     """
-    sign = _check_parity(parity)
-    if m != int(m) or m < 0:
-        raise ValueError(f"m must be a non-negative integer, got {m!r}")
-    if not gamma >= 0.5:
-        raise ValueError(f"gamma must be >= 1/2, got {gamma}")
-    return 2.0 * (gamma + m) + sign
+    return branch(parity, "noncanonical").m_index(gamma, m)
 
 
-def _radicand_nc(p: ModelParams, parity: str, m: int) -> float:
-    sign = _check_parity(parity)
-    me = m_eff(parity, p.gamma, m)
-    return me * me + 0.25 * p.a * p.a + sign * (2.0 * p.gamma - 1.0) * p.a
-
-
-def _angular_log_coeff(parity: str, gamma: float, m: int) -> float:
+def _angular_log_coeff(br: Branch, gamma: float, m: int) -> float:
     """log of the positive normalization constant C_m^(e|o)."""
-    if parity == "odd":
+    if br.sign > 0:
         return ((gamma - 0.5) * math.log(2.0) + log_gamma(gamma + 0.5)
                 + 0.5 * (math.log(m + gamma + 0.5) + log_gamma(m + 1.0)
                          - math.log(math.pi) - log_gamma(m + 2.0 * gamma + 1.0)))
@@ -92,14 +72,11 @@ def _angular_log_coeff(parity: str, gamma: float, m: int) -> float:
 
 def _angular(p: ModelParams, parity: str, m: int, phi, strict: bool):
     """Shared evaluator; strict=True enforces the open-domain precondition."""
-    sign = _check_parity(parity)
-    if parity == "even" and not p.gamma > 0.5:
-        raise ValueError("even angular states require gamma > 1/2 "
-                         "(the Gegenbauer order gamma - 1/2 must be positive)")
-    if m != int(m) or m < 0:
-        raise ValueError(f"m must be a non-negative integer, got {m!r}")
-    lam_g = p.gamma + 0.5 * sign
-    beta = 0.5 * (p.gamma + 0.5 * sign)   # exponent of (1-η²) in Φ, i.e. (γ∓1/2)/2
+    br = branch(parity, "noncanonical")
+    br.check_wavefunction(p.gamma)
+    br.check_m(m)
+    lam_g = p.gamma + 0.5 * br.sign
+    beta = 0.5 * (p.gamma + 0.5 * br.sign)   # exponent of (1-η²) in Φ, i.e. (γ∓1/2)/2
     phi_arr = np.asarray(phi, dtype=float)
     scalar = phi_arr.ndim == 0
     ph = np.atleast_1d(phi_arr).astype(float)
@@ -121,7 +98,7 @@ def _angular(p: ModelParams, parity: str, m: int, phi, strict: bool):
     w = u * u
     eps = np.where((quadrant % 2 == 1) & (m % 2 == 1), -1.0, 1.0)
     geg = np.atleast_1d(gegenbauer(m, lam_g, np.clip(eta, -1.0, 1.0)))
-    log_c = _angular_log_coeff(parity, p.gamma, m)
+    log_c = _angular_log_coeff(br, p.gamma, m)
     out = np.zeros_like(ph)
     inside = w > 0.0
     if np.any(inside):
@@ -144,25 +121,16 @@ def angular_odd(p: ModelParams, m: int, phi):
 
 def radial_even(p: ModelParams, n: int, m: int, rho):
     """Even-branch radial factor (canonical template with the even radicand)."""
-    _, s, alpha_l, log_norm = radial_profile(p, n, _radicand_nc(p, "even", m))
-    return radial_eval(p, n, s, alpha_l, log_norm, rho)
+    return branch_radial(p, branch("even"), n, m, rho)
 
 
 def radial_odd(p: ModelParams, n: int, m: int, rho):
     """Odd-branch radial factor (canonical template with the odd radicand)."""
-    _, s, alpha_l, log_norm = radial_profile(p, n, _radicand_nc(p, "odd", m))
-    return radial_eval(p, n, s, alpha_l, log_norm, rho)
+    return branch_radial(p, branch("odd"), n, m, rho)
 
 
 def _energy(p: ModelParams, parity: str, n: int, m: int, kappa_z: float) -> float:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    rad = _radicand_nc(p, parity, m)
-    if rad < 0:
-        raise ValueError(
-            f"negative radicand {rad} for parity={parity}, gamma={p.gamma}, "
-            f"a={p.a}, m={m}: the {parity}-branch energy is undefined here")
-    return (p.hbar * p.omega * ((p.a + 1.0) * (2 * n + 1) + math.sqrt(rad))
+    return (branch_energy(p, branch(parity, "noncanonical"), n, m)
             + p.hbar ** 2 * kappa_z ** 2 / (2.0 * p.m0))
 
 
@@ -207,20 +175,17 @@ class NoncanonicalState:
 
 def noncanonical_state(p: ModelParams, n: int, m: int, parity: str,
                        kappa_z: float = 0.0) -> NoncanonicalState:
-    sign = _check_parity(parity)
-    if parity == "even" and not p.gamma > 0.5:
-        raise ValueError("even branch requires gamma > 1/2; gamma = 1/2 is "
-                         "the canonical algebra (use the canonical module)")
+    br = branch(parity, "noncanonical")
+    br.check_wavefunction(p.gamma)
     q = QuantumNumbers(n=n, m=m, parity=parity, kappa_z=kappa_z)
-    rad = _radicand_nc(p, parity, m)
-    _, s, alpha_l, log_norm = radial_profile(p, n, rad)
+    _, s, alpha_l, log_norm = radial_profile(p, n, br.radicand(p, m))
     return NoncanonicalState(
         params=p, q=q,
         m_eff=m_eff(parity, p.gamma, m),
-        lambda_G=p.gamma + 0.5 * sign,
+        lambda_G=p.gamma + 0.5 * br.sign,
         radial_exponent=s,
         alpha_L=alpha_l,
-        norms=(math.exp(log_norm), math.exp(_angular_log_coeff(parity, p.gamma, m))),
+        norms=(math.exp(log_norm), math.exp(_angular_log_coeff(br, p.gamma, m))),
         E_radial=_energy(p, parity, n, m, 0.0),
         E_axial=p.hbar ** 2 * kappa_z ** 2 / (2.0 * p.m0),
     )
@@ -229,7 +194,7 @@ def noncanonical_state(p: ModelParams, n: int, m: int, parity: str,
 def total_wavefunction_nc(p: ModelParams, n: int, m: int, parity: str,
                           kappa_z: float, rho, phi, z):
     """Product state radial × angular × axial (complex through the axial phase)."""
-    radial = radial_even(p, n, m, rho) if parity == "even" else radial_odd(p, n, m, rho)
+    radial = branch_radial(p, branch(parity, "noncanonical"), n, m, rho)
     return radial * _angular(p, parity, m, phi, strict=True) * axial(kappa_z, z)
 
 
@@ -239,7 +204,7 @@ def density_nc(p: ModelParams, n: int, m: int, parity: str, rho, phi):
     Unlike the wavefunction API this accepts the singular angles and
     returns their analytic limit 0, so lattice-aligned grids never raise.
     """
-    radial = radial_even(p, n, m, rho) if parity == "even" else radial_odd(p, n, m, rho)
+    radial = branch_radial(p, branch(parity, "noncanonical"), n, m, rho)
     ang = _angular(p, parity, m, phi, strict=False)
     val = radial * ang
     return val * val

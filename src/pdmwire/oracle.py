@@ -25,7 +25,7 @@ import numpy as np
 
 from . import noncanonical as nc
 from .canonical import energy_radial, radial_eval, radial_profile, radial_wavefunction
-from .model import ModelParams, make_params
+from .model import ModelParams, branch as branch_of, make_params
 from .specialfn import gauss_legendre, laguerre, laguerre_deriv
 
 __all__ = [
@@ -267,18 +267,13 @@ def lowest_eigenvalues(op: TridiagonalOperator, k: int) -> list:
 # ---------------------------------------------------------------------------
 # ODE residuals
 
-def _branch_profile(branch: str, p: ModelParams, n: int, m: int):
-    """(nu, s, alpha_l, log_norm, c0, dimensionless eigenvalue) per branch."""
-    if branch == "canonical":
-        m_sq = float(m * m)
-        sign = 0
-    elif branch in ("even", "odd"):
-        me = nc.m_eff(branch, p.gamma, m)
-        m_sq = me * me
-        sign = -1 if branch == "even" else 1
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
-    c0 = _centrifugal_constant(p, m_sq, sign)
+def _branch_profile(name: str, p: ModelParams, n: int, m: int):
+    """(nu, s, alpha_l, log_norm, c0, eigenvalue) per branch; ν² is the ODE's c0 + a²."""
+    if name not in RADIAL_BRANCHES:
+        raise ValueError(f"unknown branch {name!r}")
+    br = branch_of("none" if name == "canonical" else name)
+    me = br.m_index(p.gamma, m)
+    c0 = _centrifugal_constant(p, float(me * me), br.sign)
     radicand = c0 + p.a * p.a
     nu, s, alpha_l, log_norm = radial_profile(p, n, radicand)
     eig = 4.0 * n * (p.a + 1.0) + 2.0 * (p.a + 1.0) + 2.0 * nu
@@ -351,13 +346,9 @@ def residual_angular(parity: str, p: ModelParams, m: int,
     if not np.allclose(np.diff(phi), h, rtol=0.0, atol=tol):
         raise ValueError("angular residual grid must be uniform")
 
-    if parity == "even":
-        q = (p.gamma - 0.5) * (p.gamma - 1.5)
-    elif parity == "odd":
-        q = (p.gamma - 0.5) * (p.gamma + 0.5)
-    else:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    me = nc.m_eff(parity, p.gamma, m)
+    br = branch_of(parity, "noncanonical")
+    q = (p.gamma - 0.5) * (p.gamma + (br.sign - 0.5))
+    me = br.m_index(p.gamma, m)
 
     extended = np.concatenate([[phi[0] - 2 * h, phi[0] - h], phi,
                                [phi[-1] + h, phi[-1] + 2 * h]])

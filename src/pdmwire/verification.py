@@ -20,7 +20,7 @@ from . import canonical as can
 from . import noncanonical as nc
 from . import oracle
 from .fields import build_density_field, riemann_mass
-from .model import make_params
+from .model import branch, make_params
 
 __all__ = ["run_verification"]
 
@@ -45,7 +45,7 @@ def _check_eigensolver_canonical(records: list, fast: bool) -> None:
     for a in a_values:
         p = make_params(a=a)
         for m in m_values:
-            op = oracle.build_radial_operator(p, float(m * m), 0)
+            op = oracle.build_radial_operator(p, float(m * m), 0, n_target=n_max + 1)
             eigs = oracle.lowest_eigenvalues(op, n_max + 1)
             for n, eig in enumerate(eigs):
                 worst = max(worst, abs(eig - can.dimensionless_eigenvalue(p, n, m)))
@@ -60,18 +60,18 @@ def _check_eigensolver_noncanonical(records: list, fast: bool) -> None:
     a_values = (2.0,) if fast else (-0.6, 0.0, 2.0)
     m_values = (0,) if fast else (0, 1, 2)
     n_max = 1 if fast else 2
-    for parity, sign in (("even", -1), ("odd", 1)):
+    for br in (branch("even"), branch("odd")):
         worst = 0.0
         for gamma, a, m in itertools.product(gamma_values, a_values, m_values):
             p = make_params(a=a, gamma=gamma)
-            me = nc.m_eff(parity, gamma, m)
-            op = oracle.build_radial_operator(p, me * me, sign)
+            me = br.m_index(gamma, m)
+            op = oracle.build_radial_operator(p, me * me, br.sign, n_target=n_max + 1)
             eigs = oracle.lowest_eigenvalues(op, n_max + 1)
             for n, eig in enumerate(eigs):
                 worst = max(worst, abs(
-                    eig - nc.dimensionless_eigenvalue_nc(p, parity, n, m)))
+                    eig - nc.dimensionless_eigenvalue_nc(p, br.parity, n, m)))
         records.append(_record(
-            f"eigensolver_closed_form_{parity}",
+            f"eigensolver_closed_form_{br.parity}",
             {"gamma": list(gamma_values), "a": list(a_values),
              "m_values": list(m_values), "n_max": n_max, "npoints": 4000},
             1e-3, worst))

@@ -20,7 +20,16 @@ from pdmwire.canonical import (
     radial_wavefunction,
     total_wavefunction,
 )
+from pdmwire.noncanonical import radial_even, radial_odd
 from pdmwire.oracle import residual_radial
+
+
+@pytest.mark.parametrize("radial", [radial_wavefunction, radial_even, radial_odd])
+def test_radial_rejects_nonfinite_rho(radial):
+    p = params_for(a=0.0, gamma=1.0)
+    for rho in (math.nan, math.inf, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError):
+            radial(p, 0, 0, rho)
 
 
 class TestEnergyRadial:

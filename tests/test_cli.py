@@ -120,6 +120,19 @@ class TestPotential:
         for r, v in ((float(x), float(y)) for x, y in rows):
             assert v == pytest.approx(0.5 * r * r, abs=1e-15)
 
+    def test_creates_missing_outdir(self, tmp_path):
+        outdir = tmp_path / "traces" / "sub"
+        assert run_cli("potential", "--a=-0.6,0,2", "--npoints", "5",
+                       "--outdir", str(outdir)) == 0
+        assert sorted(f.name for f in outdir.iterdir()) == [
+            "potential_a-0.6.csv", "potential_a0.csv", "potential_a2.csv"]
+
+    def test_config_supplies_a_list(self, tmp_path):
+        cfg = tmp_path / "pot.cfg"
+        cfg.write_text("a = 0,2\nnpoints = 3\n")
+        assert run_cli("potential", "--config", str(cfg), "--outdir", str(tmp_path)) == 0
+        assert len(csv_rows(tmp_path / "potential_a2.csv")) == 3
+
     def test_power_law_value(self, tmp_path):
         assert run_cli("potential", "--a=2", "--npoints", "3", "--rho-max", "4",
                        "--outdir", str(tmp_path)) == 0
@@ -303,6 +316,24 @@ class TestUsageErrors:
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("spectrum", "--config", str(tmp_path / "nope.cfg")) == 1
+
+    @pytest.mark.parametrize("command", ["spectrum", "wavefunction", "density"])
+    def test_config_unknown_parity(self, tmp_path, command):
+        cfg = tmp_path / "parity.cfg"
+        cfg.write_text("parity = sideways\n")
+        assert run_cli(command, "--config", str(cfg)) == 1
+
+    def test_unopenable_out_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dens.csv"
+        assert run_cli("density", "--ngrid", "11", "--out", str(out)) == 1
+        assert "cannot write" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_outdir_is_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_cli("potential", "--outdir", str(blocker)) == 1
+        assert "cannot create" in capsys.readouterr().err
 
 
 class TestConfigResolution:

@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdmwire.canonical import energy_radial
+from pdmwire.fields import build_density_field, radial_trace
 from pdmwire.model import (
     A_MAX,
     ModelParams,
     QuantumNumbers,
+    branch,
     make_params,
     mass_at,
     potential_at,
 )
+from pdmwire.noncanonical import density_nc, energy_even, energy_odd, m_eff
+from pdmwire.oracle import orthonormality_matrix, residual_radial
 
 
 class TestMakeParams:
@@ -49,6 +54,17 @@ class TestMakeParams:
         with pytest.raises(ValueError):
             make_params(hbar=0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"m0": math.inf}, {"omega": math.inf}, {"hbar": math.inf},
+        {"gamma": math.inf}, {"m0": math.nan}, {"gamma": math.nan},
+        {"a": math.nan}, {"a": math.inf},
+        {"m0": 1e300, "omega": 1e300},      # λ0 overflows
+        {"m0": 1e-300, "omega": 1e-300},    # λ0 underflows to 0
+    ])
+    def test_rejects_nonfinite_inputs(self, kwargs):
+        with pytest.raises(ValueError):
+            make_params(**kwargs)
+
     def test_params_immutable(self):
         p = make_params()
         with pytest.raises(Exception):
@@ -79,6 +95,87 @@ class TestQuantumNumbers:
             QuantumNumbers(n=-1, m=0, parity="none", kappa_z=0.0)
         with pytest.raises(ValueError):
             QuantumNumbers(n=0, m=0, parity="sideways", kappa_z=0.0)
+
+
+class TestBranch:
+    """The Branch record against the paper's three formulas, written out."""
+
+    A_GRID = (-0.99, -0.6, 0.0, 0.37, 2.0, 13.5, 50.0)
+    GAMMA_GRID = (0.5, 0.75, 1.0, 1.5, 3.2)
+
+    def states(self, m_values):
+        for a in self.A_GRID:
+            for g in self.GAMMA_GRID:
+                p = make_params(omega=2.0, hbar=0.75, a=a, gamma=g)
+                for m in m_values:
+                    for n in (0, 3):
+                        yield p, a, g, n, m
+
+    def test_canonical_formulas(self):
+        br = branch("none")
+        for p, a, g, n, m in self.states(range(-3, 5)):
+            nu_sq = m * m + 0.25 * a * a
+            assert br.m_index(g, m) == m
+            assert br.radicand(p, m) == nu_sq
+            assert energy_radial(p, n, m) == \
+                p.hbar * p.omega * ((a + 1) * (2 * n + 1) + math.sqrt(nu_sq))
+
+    def test_even_formulas(self):
+        br = branch("even")
+        for p, a, g, n, m in self.states(range(5)):
+            me = 2 * (g + m) - 1
+            nu_sq = me * me + 0.25 * a * a - (2 * g - 1) * a
+            assert br.m_index(g, m) == me == m_eff("even", g, m)
+            assert br.radicand(p, m) == nu_sq
+            assert energy_even(p, n, m) == \
+                p.hbar * p.omega * ((a + 1) * (2 * n + 1) + math.sqrt(nu_sq))
+
+    def test_odd_formulas(self):
+        br = branch("odd")
+        for p, a, g, n, m in self.states(range(5)):
+            me = 2 * (g + m) + 1
+            nu_sq = me * me + 0.25 * a * a + (2 * g - 1) * a
+            assert br.m_index(g, m) == me == m_eff("odd", g, m)
+            assert br.radicand(p, m) == nu_sq
+            assert energy_odd(p, n, m) == \
+                p.hbar * p.omega * ((a + 1) * (2 * n + 1) + math.sqrt(nu_sq))
+
+    def test_labels_and_m_ranges(self):
+        assert [(b.parity, b.sign, b.family) for b in map(branch, ("none", "even", "odd"))] \
+            == [("none", 0, "canonical"), ("even", -1, "noncanonical"),
+                ("odd", 1, "noncanonical")]
+        assert list(branch("none").m_range(2)) == [-2, -1, 0, 1, 2]
+        assert list(branch("odd").m_range(2)) == [0, 1, 2]
+
+    def test_rules(self):
+        with pytest.raises(ValueError):
+            branch("odd").check_m(-1)
+        with pytest.raises(ValueError):
+            branch("even").m_index(1.0, 0.5)
+        branch("none").check_m(-1)
+        with pytest.raises(ValueError):
+            branch("even").check_wavefunction(0.5)
+        branch("odd").check_wavefunction(0.5)
+        with pytest.raises(ValueError):
+            branch("sideways")
+        with pytest.raises(ValueError):
+            branch("none", "noncanonical")
+
+    @pytest.mark.parametrize("call, names", [
+        (lambda par: radial_trace(make_params(), 0, 0, parity=par), ("sideways",)),
+        (lambda par: build_density_field(make_params(gamma=1.0), 0, 0, parity=par,
+                                         ngrid=11), ("sideways",)),
+        (lambda par: density_nc(make_params(gamma=1.0), 0, 0, par, 1.0, 0.3),
+         ("sideways", "none")),
+        (lambda par: orthonormality_matrix(par, make_params(), [(0, 0)]),
+         ("sideways", "none")),
+        (lambda par: residual_radial(par, make_params(), 0, 0), ("sideways", "none")),
+    ], ids=["radial_trace", "build_density_field", "density_nc",
+            "orthonormality_matrix", "residual_radial"])
+    def test_unknown_parity_raises(self, call, names):
+        for name in names:
+            with pytest.raises(ValueError):
+                call(name)
 
 
 class TestMassAt:

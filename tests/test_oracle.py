@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from conftest import params_for
-from pdmwire import oracle
+from pdmwire import oracle, verification
 from pdmwire.canonical import dimensionless_eigenvalue
 from pdmwire.noncanonical import dimensionless_eigenvalue_nc
 from pdmwire.oracle import (
@@ -339,3 +339,13 @@ class TestLimitSweep:
         for m in (1, 2, 3, 4):
             rows = limit_sweep_a_to_zero(p, 0, m, [1e-4])
             assert rows[0]["max_wavefunction_deviation"] <= 1e-4
+
+
+class TestVerificationSweep:
+    def test_full_canonical_eigensolver_check_passes(self):
+        # the domain is sized for the levels solved (n_target = n_max + 1);
+        # the default n_target = 6 missed the 1e-3 tolerance at a = -0.6
+        records = []
+        verification._check_eigensolver_canonical(records, fast=False)
+        (record,) = records
+        assert record["pass"], record
