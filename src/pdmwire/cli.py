@@ -36,6 +36,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _fmt_floats(values) -> np.ndarray:
+    """`_fmt` text of every element of a float array, as an object array of its shape.
+
+    Each distinct bit pattern is formatted once ("%.17g" is `format`'s ".17g"
+    text); bit patterns rather than float equality keep 0.0 and -0.0 apart.
+    """
+    arr = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(arr.view(np.uint64), return_inverse=True)
+    texts = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse.reshape(-1)].reshape(arr.shape)
+
+
 def _jsonable(obj):
     """Recursively coerce numpy scalars so json.dumps accepts the payload."""
     if isinstance(obj, dict):
@@ -140,13 +152,15 @@ def _params_from(options: dict):
         raise _UsageError(str(exc)) from exc
 
 
-def _write_text(path, text: str) -> None:
+def _write_text(path, text) -> None:
+    """Write `text`, a string or an iterable of string chunks, to `path` or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise _UsageError(f"cannot write {path!r}: {exc}") from exc
 
@@ -297,6 +311,18 @@ def _cmd_wavefunction(args) -> int:
 # ---------------------------------------------------------------------------
 # density
 
+def _density_chunks(header: str, fld):
+    """The density CSV as chunks: `header`, then one "x,y,value" chunk per raster row."""
+    yield header
+    hx = (fld.x_range[1] - fld.x_range[0]) / (fld.nx - 1)
+    hy = (fld.y_range[1] - fld.y_range[0]) / (fld.ny - 1)
+    xs = [_fmt(fld.x_range[0] + ix * hx) + "," for ix in range(fld.nx)]
+    cells = _fmt_floats(fld.values)
+    for iy in range(fld.ny):
+        y = _fmt(fld.y_range[0] + iy * hy) + ","
+        yield "".join([x + y + v + "\n" for x, v in zip(xs, cells[iy].tolist())])
+
+
 def _cmd_density(args) -> int:
     defaults = {"a": 0.0, "gamma": 0.5, "n": 0, "m": 0, "parity": "none",
                 "ngrid": 201, "half_width": None, "out": None}
@@ -318,14 +344,7 @@ def _cmd_density(args) -> int:
     config = RunConfig("density", resolved)
     lines = _csv_header(config, extra=fld.metadata)
     lines.append("x,y,value")
-    hx = (fld.x_range[1] - fld.x_range[0]) / (fld.nx - 1)
-    hy = (fld.y_range[1] - fld.y_range[0]) / (fld.ny - 1)
-    for iy in range(fld.ny):
-        y = fld.y_range[0] + iy * hy
-        for ix in range(fld.nx):
-            x = fld.x_range[0] + ix * hx
-            lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(float(fld.values[iy, ix]))}")
-    _write_text(options["out"], "\n".join(lines) + "\n")
+    _write_text(options["out"], _density_chunks("\n".join(lines) + "\n", fld))
 
     if options["out"] is not None:
         sidecar = _jsonable({

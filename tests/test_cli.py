@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import params_for
-from pdmwire.cli import RunConfig, main
-from pdmwire.fields import radial_trace
+from pdmwire.cli import RunConfig, _csv_header, _fmt, _fmt_floats, main
+from pdmwire.fields import build_density_field, radial_trace
+from pdmwire.noncanonical import SINGULAR_ANGLES
 
 
 def run_cli(*argv):
@@ -31,6 +32,31 @@ def csv_rows(path):
                 continue
             rows.append(line.split(","))
     return rows
+
+
+def reference_density_csv(out=None, **state) -> bytes:
+    """The density CSV as one `_fmt` call per value writes it: the writer's reference."""
+    options = {"a": 0.0, "gamma": 0.5, "n": 0, "m": 0, "parity": "none",
+               "ngrid": 201, "half_width": None, "out": out, **state}
+    fld = build_density_field(params_for(a=options["a"], gamma=options["gamma"]),
+                              options["n"], options["m"], parity=options["parity"],
+                              ngrid=options["ngrid"], half_width=options["half_width"])
+    config = RunConfig("density", dict(options, half_width=fld.metadata["half_width"]))
+    lines = _csv_header(config, extra=fld.metadata)
+    lines.append("x,y,value")
+    hx = (fld.x_range[1] - fld.x_range[0]) / (fld.nx - 1)
+    hy = (fld.y_range[1] - fld.y_range[0]) / (fld.ny - 1)
+    for iy in range(fld.ny):
+        y = fld.y_range[0] + iy * hy
+        for ix in range(fld.nx):
+            x = fld.x_range[0] + ix * hx
+            lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(float(fld.values[iy, ix]))}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def density_flags(state: dict) -> list:
+    # str() of a float round-trips, so the flags resolve to exactly `state`
+    return [f"--{key.replace('_', '-')}={value}" for key, value in state.items()]
 
 
 def header_options(path):
@@ -171,6 +197,18 @@ class TestWavefunction:
         assert len(rows) == 8 and len(rows[0]) == 2
         assert all(float(v) >= 0.0 for _, v in rows)
 
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("npoints", [201, 202, 203])
+    def test_angular_grid_through_an_axis(self, tmp_path, parity, npoints):
+        out = tmp_path / "axis.csv"
+        assert run_cli("wavefunction", "--trace", "angular", "--gamma", "1.5",
+                       "--parity", parity, "--m", "1", "--npoints", str(npoints),
+                       "--out", str(out)) == 0
+        rows = csv_rows(out)
+        assert len(rows) == npoints
+        zeros = [float(f) for f, v in rows if float(v) == 0.0]
+        assert zeros and all(f in SINGULAR_ANGLES for f in zeros)
+
 
 class TestDensity:
     def test_grid_size_and_sidecar(self, tmp_path):
@@ -249,6 +287,41 @@ class TestDensity:
         assert run_cli("density", "--parity", "even", "--ngrid", "11") == 1
 
 
+#: writer cases: each branch, origin disc averaging, an explicit window and
+#: the smallest, an even and an odd grid
+WRITER_STATES = {
+    "canonical": {"a": 2.0, "gamma": 1.5, "n": 1, "m": 1, "ngrid": 51},
+    "even": {"a": 2.0, "gamma": 1.5, "parity": "even", "n": 1, "m": 1, "ngrid": 51},
+    "odd": {"a": 0.5, "gamma": 1.0, "parity": "odd", "n": 0, "m": 2, "ngrid": 50},
+    "disc_averaged": {"a": -0.6, "n": 0, "m": 0, "ngrid": 51},
+    "half_width": {"a": 1.0, "n": 2, "m": -1, "ngrid": 51, "half_width": 3.5},
+    "ngrid_2": {"a": 0.5, "gamma": 1.0, "parity": "odd", "n": 1, "m": 1, "ngrid": 2},
+}
+
+
+class TestDensityWriter:
+    @pytest.mark.parametrize("state", WRITER_STATES.values(), ids=WRITER_STATES.keys())
+    def test_file_matches_per_value_writer(self, tmp_path, state):
+        out = tmp_path / "dens.csv"
+        assert run_cli("density", *density_flags(state), "--out", str(out)) == 0
+        assert out.read_bytes() == reference_density_csv(out=str(out), **state)
+
+    def test_stdout_matches_per_value_writer(self, capsys):
+        state = WRITER_STATES["even"]
+        assert run_cli("density", *density_flags(state)) == 0
+        assert capsys.readouterr().out.encode("utf-8") == reference_density_csv(**state)
+
+    def test_fmt_floats_is_fmt_per_value(self):
+        tiny = 5e-324                             # smallest subnormal
+        values = np.array([[0.0, -0.0, tiny, 1.0 / 3.0],
+                           [1.0 / 3.0, -0.0, 0.0, 3 * tiny],
+                           [1e300, -2.5, math.inf, math.nan]])
+        texts = _fmt_floats(values)
+        assert texts.shape == values.shape
+        assert texts.tolist() == [[_fmt(float(v)) for v in row] for row in values]
+        assert texts[0, 0] == "0" and texts[0, 1] == "-0"
+
+
 class TestVerify:
     def test_fast_sweep_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -270,6 +343,34 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["all_pass"] is False
         assert any(not chk["pass"] for chk in report["checks"])
+
+
+@pytest.fixture(scope="module")
+def fast_sweeps(tmp_path_factory):
+    """Report bytes of two unperturbed `verify --fast` runs and one perturbed run."""
+    tmp = tmp_path_factory.mktemp("sweeps")
+    reports = {}
+    for name, extra in (("first", ()), ("second", ()),
+                        ("perturbed", ("--perturb-norm", "0.01"))):
+        # the same --out in every run, since the report echoes it
+        out = tmp / "report.json"
+        run_cli("verify", "--fast", *extra, "--out", str(out))
+        reports[name] = out.read_bytes()
+    return reports
+
+
+class TestVerifyReproducible:
+    def test_reruns_are_byte_identical(self, fast_sweeps):
+        assert fast_sweeps["first"] == fast_sweeps["second"]
+
+    def test_perturbation_leaves_eigensolver_records_unchanged(self, fast_sweeps):
+        def eigensolver_records(report):
+            return [rec for rec in json.loads(report)["checks"]
+                    if rec["equation_id"].startswith("eigensolver_")]
+
+        unperturbed = eigensolver_records(fast_sweeps["first"])
+        assert unperturbed
+        assert eigensolver_records(fast_sweeps["perturbed"]) == unperturbed
 
 
 class TestUsageErrors:

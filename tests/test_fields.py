@@ -16,7 +16,7 @@ from pdmwire.fields import (
     riemann_mass,
 )
 from pdmwire.model import potential_at
-from pdmwire.noncanonical import angular_odd
+from pdmwire.noncanonical import SINGULAR_ANGLES, angular_even, angular_odd
 
 
 class TestBuildDensityField:
@@ -164,3 +164,19 @@ class TestAngularTrace:
         assert np.all(np.isfinite(vals))
         for bad in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
             assert np.min(np.abs(phi - bad)) > 1e-8
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_off_axis_grid_equals_strict_evaluator(self, parity):
+        p = params_for(a=-0.6, gamma=1.5)
+        phi, vals = angular_trace(p, 2, parity=parity, npoints=720)
+        strict = angular_even if parity == "even" else angular_odd
+        assert np.array_equal(vals, strict(p, 2, phi))
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("npoints, n_axis", [(201, 1), (202, 2), (203, 1)])
+    def test_on_axis_cells_carry_the_limit_zero(self, parity, npoints, n_axis):
+        p = params_for(a=-0.6, gamma=1.5)
+        phi, vals = angular_trace(p, 1, parity=parity, npoints=npoints)
+        on_axis = np.isin(phi, SINGULAR_ANGLES)
+        assert np.count_nonzero(on_axis) == n_axis
+        assert np.array_equal(vals == 0.0, on_axis)
