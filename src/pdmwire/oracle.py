@@ -6,7 +6,9 @@ Three cross-checks, none of which reuse the closed-form eigenvalues:
   built on the peeled substitution P = ζ^s w (ζ = λ0·ρ) so the origin
   face carries exactly zero flux and no boundary fit is needed there,
   and solved by Sturm-sequence bisection run as multisection sweeps over
-  the bracket [0, doubled upper bound];
+  the bracket [0, doubled upper bound]; a batch of same-size operators
+  shares every sweep (lowest_eigenvalues_many), with each operator's
+  eigenvalues bit for bit those of a solve on its own;
 * analytic ODE residuals: P, P′, P″ assembled by the product rule over
   power × exponential × Laguerre and pushed through the radial equation,
   and a 4th-order finite-difference check of the angular equation;
@@ -30,7 +32,7 @@ from .specialfn import gauss_legendre, laguerre, laguerre_deriv
 
 __all__ = [
     "GridSpec", "TridiagonalOperator", "ResidualReport",
-    "build_radial_operator", "lowest_eigenvalues",
+    "build_radial_operator", "lowest_eigenvalues", "lowest_eigenvalues_many",
     "residual_radial", "residual_angular",
     "orthonormality_matrix", "limit_sweep_a_to_zero",
 ]
@@ -159,13 +161,18 @@ def build_radial_operator(p: ModelParams, m_eff_sq_term: float, parity_sign: int
 
 
 def _sturm_count(diag: np.ndarray, off_sq: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Eigenvalue counts strictly below each shift, via the Sturm sequence."""
-    d = diag[0] - shifts
+    """Eigenvalue counts strictly below each shift, via the Sturm sequence.
+
+    Operators may be stacked: diag (..., N), off_sq (..., N−1) and shifts
+    (..., S) give counts (..., S).  Every count sees the same arithmetic as a
+    one-operator call.
+    """
+    d = diag[..., 0, None] - shifts
     count = (d < 0.0).astype(int)
     tiny = 1e-300
-    for i in range(1, diag.size):
+    for i in range(1, diag.shape[-1]):
         d = np.where(np.abs(d) < tiny, -tiny, d)
-        d = diag[i] - shifts - off_sq[i - 1] / d
+        d = diag[..., i, None] - shifts - off_sq[..., i - 1, None] / d
         count += d < 0.0
     return count
 
@@ -173,39 +180,22 @@ def _sturm_count(diag: np.ndarray, off_sq: np.ndarray, shifts: np.ndarray) -> np
 def _bisection_tree(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
     """All bisection points of `depth` levels below each bracket [lo, hi].
 
-    Row i holds 2^depth + 1 ascending points with lo and hi at the ends;
-    every interior point is 0.5·(left + right) of its parent bracket, the
-    same floating-point operation a bisection step performs.
+    Brackets may be stacked: lo and hi of shape (...) give points of shape
+    (..., 2^depth + 1), ascending, with lo and hi at the ends; every interior
+    point is 0.5·(left + right) of its parent bracket, the same floating-point
+    operation a bisection step performs.
     """
-    pts = np.stack([lo, hi], axis=1)
+    pts = np.stack([lo, hi], axis=-1)
     for _ in range(depth):
-        finer = np.empty((pts.shape[0], 2 * pts.shape[1] - 1))
-        finer[:, ::2] = pts
-        finer[:, 1::2] = 0.5 * (pts[:, :-1] + pts[:, 1:])
+        finer = np.empty(pts.shape[:-1] + (2 * pts.shape[-1] - 1,))
+        finer[..., ::2] = pts
+        finer[..., 1::2] = 0.5 * (pts[..., :-1] + pts[..., 1:])
         pts = finer
     return pts
 
 
-def lowest_eigenvalues(op: TridiagonalOperator, k: int) -> list:
-    """k smallest eigenvalues, ascending, to 1e-10 absolute.
-
-    The result is bit for bit the Sturm-sequence bisection of the Gershgorin
-    bracket (Barth, Martin & Wilkinson 1967), in about 8 Sturm sweeps per
-    operator instead of ~100.  One sweep counts the eigenvalues below 0 and
-    below the doubling ladder 1e-10·2^j, capped at the Gershgorin upper
-    bound.  The radial operators are positive definite, so this puts every
-    wanted eigenvalue between two rungs; an eigenvalue that the count at 0
-    finds below 0 keeps the Gershgorin lower bound.  Bisection steps whose
-    midpoint falls outside an eigenvalue's rung interval are then decided
-    without a count, which assumes that the computed count is monotone in
-    the shift (tests compare against plain bisection).  The remaining steps are multisection sweeps (Lo,
-    Philippe & Sameh 1987): each resolves MULTISECTION_DEPTH bisection
-    levels at once by counting all 2^depth − 1 midpoints below the current
-    bracket.  BISECTION_LEVELS caps the sweeps; past it a RuntimeError
-    is raised.
-    """
-    if not 1 <= k <= MAX_EIGENVALUES:
-        raise ValueError(f"k must be between 1 and {MAX_EIGENVALUES}, got {k}")
+def _checked_operator(op: TridiagonalOperator, k: int):
+    """(diag, off², Gershgorin lower, upper bound); ValueError on a bad operator."""
     diag = np.asarray(op.diag, dtype=float)
     off = np.asarray(op.offdiag, dtype=float)
     if diag.ndim != 1 or off.shape != (diag.size - 1,) or k > diag.size:
@@ -220,19 +210,18 @@ def lowest_eigenvalues(op: TridiagonalOperator, k: int) -> list:
     if not (np.all(np.isfinite(off_sq)) and np.isfinite(g_hi - g_lo)):
         raise ValueError("operator diag/offdiag must be finite, with squares and "
                          "Gershgorin bounds inside the floating-point range")
-    order = np.arange(k)
+    return diag, off_sq, g_lo, g_hi
 
-    # eigenvalue i lies in [ladder[j-1], ladder[j]), j the first rung counting
-    # more than i; below rung 0 only the Gershgorin bound is known
+
+def _ladder(g_hi: float) -> np.ndarray:
+    """0 and the doubling rungs 1e-10·2^j, capped at the Gershgorin upper bound."""
     top = max(g_hi, BISECTION_TOL)
     steps = np.arange(math.ceil(math.log2(top / BISECTION_TOL)) + 1)
-    ladder = np.minimum(np.concatenate([[0.0], BISECTION_TOL * 2.0 ** steps]), top)
-    first = np.searchsorted(_sturm_count(diag, off_sq, ladder), order, side="right")
-    edges = np.concatenate([[-np.inf], ladder, [np.inf]])
-    known_lo, known_hi = edges[first], edges[first + 1]
+    return np.minimum(np.concatenate([[0.0], BISECTION_TOL * 2.0 ** steps]), top)
 
-    lo = np.full(k, g_lo)
-    hi = np.full(k, g_hi)
+
+def _count_free_steps(lo, hi, known_lo, known_hi):
+    """Bisect [lo, hi] while every midpoint falls outside [known_lo, known_hi]."""
     while np.max(hi - lo) >= BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         below = mid >= known_hi
@@ -240,28 +229,104 @@ def lowest_eigenvalues(op: TridiagonalOperator, k: int) -> list:
             break
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
+    return lo, hi
 
-    rows = np.arange(k)
+
+def _descend(tree: np.ndarray, tree_counts: np.ndarray, order: np.ndarray):
+    """Walk one operator's brackets down its counted bisection tree."""
+    rows = np.arange(order.size)
+    left = np.zeros(order.size, dtype=int)
+    right = np.full(order.size, 2 ** MULTISECTION_DEPTH)
+    for _ in range(MULTISECTION_DEPTH):
+        if np.max(tree[rows, right] - tree[rows, left]) < BISECTION_TOL:
+            break
+        middle = (left + right) // 2
+        below = tree_counts[rows, middle - 1] > order
+        right = np.where(below, middle, right)
+        left = np.where(below, left, middle)
+    return tree[rows, left], tree[rows, right]
+
+
+def lowest_eigenvalues_many(ops, k: int) -> list:
+    """k smallest eigenvalues of each operator, as lowest_eigenvalues returns them.
+
+    All operators must have the same size; they share every Sturm sweep.
+    One sweep counts all their ladders, each padded to the longest with its
+    own top rung.  Each multisection sweep then counts the trees of the
+    operators whose brackets are still at least BISECTION_TOL wide, so every
+    operator takes exactly the steps, and returns exactly the bits, of a
+    solve on its own.  The Python loop over the cells costs about the same
+    for one operator as for many, which is what the batch saves.
+    """
+    if not 1 <= k <= MAX_EIGENVALUES:
+        raise ValueError(f"k must be between 1 and {MAX_EIGENVALUES}, got {k}")
+    checked = [_checked_operator(op, k) for op in ops]
+    if not checked:
+        return []
+    diags, off_sqs, g_los, g_his = zip(*checked)
+    sizes = sorted({d.size for d in diags})
+    if len(sizes) > 1:
+        raise ValueError(f"operators of one batch must have the same size, got {sizes}")
+    diag, off_sq = np.stack(diags), np.stack(off_sqs)
+    order = np.arange(k)
+
+    # eigenvalue i lies in [ladder[j-1], ladder[j]), j the first rung counting
+    # more than i; below rung 0 only the Gershgorin bound is known
+    ladders = [_ladder(g_hi) for g_hi in g_his]
+    width = max(ladder.size for ladder in ladders)
+    counts = _sturm_count(diag, off_sq, np.stack(
+        [np.pad(ladder, (0, width - ladder.size), mode="edge") for ladder in ladders]))
+    lo = np.empty((len(diags), k))
+    hi = np.empty((len(diags), k))
+    for b, (g_lo, g_hi, ladder) in enumerate(zip(g_los, g_his, ladders)):
+        first = np.searchsorted(counts[b, :ladder.size], order, side="right")
+        edges = np.concatenate([[-np.inf], ladder, [np.inf]])
+        lo[b], hi[b] = _count_free_steps(np.full(k, g_lo), np.full(k, g_hi),
+                                         edges[first], edges[first + 1])
+
+    active = np.arange(len(diags))
     sweeps = 0
-    while np.max(hi - lo) >= BISECTION_TOL:
+    while True:
+        keep = np.max(hi[active] - lo[active], axis=1) >= BISECTION_TOL
+        if not np.all(keep):
+            active, diag, off_sq = active[keep], diag[keep], off_sq[keep]
+        if not active.size:
+            break
         if sweeps == BISECTION_LEVELS:
             raise RuntimeError(
                 f"bisection did not reach {BISECTION_TOL} within {BISECTION_LEVELS} "
-                f"sweeps (bracket width {np.max(hi - lo):.3e})")
-        tree = _bisection_tree(lo, hi, MULTISECTION_DEPTH)
-        tree_counts = _sturm_count(diag, off_sq, tree[:, 1:-1])
-        left = np.zeros(k, dtype=int)
-        right = np.full(k, 2 ** MULTISECTION_DEPTH)
-        for _ in range(MULTISECTION_DEPTH):
-            if np.max(tree[rows, right] - tree[rows, left]) < BISECTION_TOL:
-                break
-            middle = (left + right) // 2
-            below = tree_counts[rows, middle - 1] > order
-            right = np.where(below, middle, right)
-            left = np.where(below, left, middle)
-        lo, hi = tree[rows, left], tree[rows, right]
+                f"sweeps (bracket width {np.max(hi[active] - lo[active]):.3e})")
+        tree = _bisection_tree(lo[active], hi[active], MULTISECTION_DEPTH)
+        inner = tree[..., 1:-1]
+        tree_counts = _sturm_count(diag, off_sq, inner.reshape(active.size, -1))
+        tree_counts = tree_counts.reshape(inner.shape)
+        for j, b in enumerate(active):
+            lo[b], hi[b] = _descend(tree[j], tree_counts[j], order)
         sweeps += 1
-    return list(0.5 * (lo + hi))
+    return [list(row) for row in 0.5 * (lo + hi)]
+
+
+def lowest_eigenvalues(op: TridiagonalOperator, k: int) -> list:
+    """k smallest eigenvalues, ascending, to 1e-10 absolute.
+
+    The result is bit for bit the Sturm-sequence bisection of the Gershgorin
+    bracket (Barth, Martin & Wilkinson 1967), in about 8 Sturm sweeps per
+    operator instead of ~100.  One sweep counts the eigenvalues below 0 and
+    below the doubling ladder 1e-10·2^j, capped at the Gershgorin upper
+    bound.  The radial operators are positive definite, so this puts every
+    wanted eigenvalue between two rungs; an eigenvalue that the count at 0
+    finds below 0 keeps the Gershgorin lower bound.  Bisection steps whose
+    midpoint falls outside an eigenvalue's rung interval are then decided
+    without a count, which assumes that the computed count is monotone in
+    the shift (tests compare against plain bisection).  The remaining steps
+    are multisection sweeps (Lo, Philippe & Sameh 1987): each resolves
+    MULTISECTION_DEPTH bisection levels at once by counting all
+    2^depth − 1 midpoints below the current bracket.  BISECTION_LEVELS caps
+    the sweeps; past it a RuntimeError is raised.  This is a one-operator
+    call of lowest_eigenvalues_many, which solves a batch of operators in
+    shared sweeps.
+    """
+    return lowest_eigenvalues_many([op], k)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ test suite as independent oracles.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -153,13 +154,21 @@ def log_gamma(x):
     return out if x_arr.ndim else float(out)
 
 
+def _read_only_rule(nodes: np.ndarray, weights: np.ndarray) -> QuadratureRule:
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadratureRule(nodes=nodes, weights=weights)
+
+
+@functools.lru_cache(maxsize=64)
 def gauss_legendre(npoints: int) -> QuadratureRule:
     """Gauss–Legendre rule with `npoints` nodes on [-1, 1].
 
     Nodes are the roots of P_n found by Newton iteration on the Legendre
     recurrence (Chebyshev-angle initial guesses), tolerance 1e-15, at most
     100 iterations per node; weights are 2 / ((1-x²) P'_n(x)²).  Exact for
-    polynomials of degree ≤ 2n-1.
+    polynomials of degree ≤ 2n-1.  Rules are built once per npoints and
+    shared, so their arrays are read-only.
     """
     if npoints != int(npoints) or npoints < 1:
         raise ValueError(f"npoints must be a positive integer, got {npoints!r}")
@@ -167,7 +176,7 @@ def gauss_legendre(npoints: int) -> QuadratureRule:
         raise ValueError(f"npoints={npoints} exceeds the supported maximum {MAX_QUAD_POINTS}")
     n = int(npoints)
     if n == 1:
-        return QuadratureRule(nodes=np.array([0.0]), weights=np.array([2.0]))
+        return _read_only_rule(np.array([0.0]), np.array([2.0]))
 
     # roots in the right half, largest first; the rest come by symmetry
     k = np.arange(1, n // 2 + n % 2 + 1)
@@ -200,4 +209,4 @@ def gauss_legendre(npoints: int) -> QuadratureRule:
     else:
         nodes = np.concatenate([-x, x[::-1]])
         weights = np.concatenate([w_half, w_half[::-1]])
-    return QuadratureRule(nodes=nodes, weights=weights)
+    return _read_only_rule(nodes, weights)

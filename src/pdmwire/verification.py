@@ -37,44 +37,59 @@ def _record(equation_id: str, params: dict, tolerance: float, measured: float,
 # ---------------------------------------------------------------------------
 # eigensolver vs closed forms
 
-def _check_eigensolver_canonical(records: list, fast: bool) -> None:
+def _eigensolver_families(fast: bool) -> list:
+    """(name, branch, record params, n_max, [(p, m), ...]) per radial branch."""
     a_values = (0.0, 2.0) if fast else (-0.6, 0.0, 2.0)
     m_values = (0, 1) if fast else (0, 1, 2, 3)
     n_max = 1 if fast else 3
-    worst = 0.0
-    for a in a_values:
-        p = make_params(a=a)
-        for m in m_values:
-            op = oracle.build_radial_operator(p, float(m * m), 0, n_target=n_max + 1)
-            eigs = oracle.lowest_eigenvalues(op, n_max + 1)
-            for n, eig in enumerate(eigs):
-                worst = max(worst, abs(eig - can.dimensionless_eigenvalue(p, n, m)))
-    records.append(_record(
-        "eigensolver_closed_form_canonical",
-        {"a": list(a_values), "m_values": list(m_values), "n_max": n_max,
-         "npoints": 4000}, 1e-3, worst))
+    families = [("canonical", branch("none"),
+                 {"a": list(a_values), "m_values": list(m_values), "n_max": n_max,
+                  "npoints": 4000},
+                 n_max, [(make_params(a=a), m) for a in a_values for m in m_values])]
 
-
-def _check_eigensolver_noncanonical(records: list, fast: bool) -> None:
     gamma_values = (1.0,) if fast else (1.0, 1.5)
     a_values = (2.0,) if fast else (-0.6, 0.0, 2.0)
     m_values = (0,) if fast else (0, 1, 2)
     n_max = 1 if fast else 2
-    for br in (branch("even"), branch("odd")):
-        worst = 0.0
-        for gamma, a, m in itertools.product(gamma_values, a_values, m_values):
-            p = make_params(a=a, gamma=gamma)
-            me = br.m_index(gamma, m)
-            op = oracle.build_radial_operator(p, me * me, br.sign, n_target=n_max + 1)
-            eigs = oracle.lowest_eigenvalues(op, n_max + 1)
-            for n, eig in enumerate(eigs):
-                worst = max(worst, abs(
-                    eig - nc.dimensionless_eigenvalue_nc(p, br.parity, n, m)))
-        records.append(_record(
-            f"eigensolver_closed_form_{br.parity}",
+    for parity in ("even", "odd"):
+        families.append((
+            parity, branch(parity),
             {"gamma": list(gamma_values), "a": list(a_values),
              "m_values": list(m_values), "n_max": n_max, "npoints": 4000},
-            1e-3, worst))
+            n_max, [(make_params(a=a, gamma=gamma), m) for gamma, a, m
+                    in itertools.product(gamma_values, a_values, m_values)]))
+    return families
+
+
+def _eigensolver_batches(families: list) -> dict:
+    """k -> the operators, in case order, of every family solving for k levels."""
+    batches = {}
+    for _, br, _, n_max, cases in families:
+        for p, m in cases:
+            me = br.m_index(p.gamma, m)
+            batches.setdefault(n_max + 1, []).append(oracle.build_radial_operator(
+                p, float(me * me), br.sign, n_target=n_max + 1))
+    return batches
+
+
+def _check_eigensolvers(records: list, fast: bool,
+                        names=("canonical", "even", "odd")) -> None:
+    """One record per branch; all operators of one k share one batched solve."""
+    families = [f for f in _eigensolver_families(fast) if f[0] in names]
+    eigs = {k: iter(oracle.lowest_eigenvalues_many(batch, k))
+            for k, batch in _eigensolver_batches(families).items()}
+    for name, br, params, n_max, cases in families:
+        worst = 0.0
+        for p, m in cases:
+            for n, eig in enumerate(next(eigs[n_max + 1])):
+                closed = 2.0 * can.branch_energy(p, br, n, m) / (p.hbar * p.omega)
+                worst = max(worst, abs(eig - closed))
+        records.append(_record(f"eigensolver_closed_form_{name}", params, 1e-3, worst))
+
+
+def _check_eigensolver_canonical(records: list, fast: bool) -> None:
+    """The canonical eigensolver record alone, through the same batched path."""
+    _check_eigensolvers(records, fast, ("canonical",))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +284,7 @@ def _check_rasters(records: list) -> None:
 def run_verification(perturb_norm: float = 0.0, fast: bool = False):
     """Run the sweep; returns (records, all_pass)."""
     records: list = []
-    _check_eigensolver_canonical(records, fast)
-    _check_eigensolver_noncanonical(records, fast)
+    _check_eigensolvers(records, fast)
     _check_residual_radial(records, fast)
     _check_residual_angular(records, fast)
     _check_orthonormality(records, fast, perturb_norm)

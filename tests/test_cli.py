@@ -373,6 +373,73 @@ class TestVerifyReproducible:
         assert eigensolver_records(fast_sweeps["perturbed"]) == unperturbed
 
 
+CERTIFY_SEQUENCE = (0.0, -0.05, 0.001, 0.0)
+
+
+@pytest.fixture(scope="module")
+def certify_sweeps(tmp_path_factory):
+    """(delta, exit code, report bytes) of `verify --fast` sweeps run in one
+    process: unperturbed, two perturbed, then unperturbed again."""
+    tmp = tmp_path_factory.mktemp("certify")
+    out = tmp / "report.json"
+    sweeps = []
+    for delta in CERTIFY_SEQUENCE:
+        extra = ("--perturb-norm", repr(delta)) if delta else ()
+        code = run_cli("verify", "--fast", *extra, "--out", str(out))
+        sweeps.append((delta, code, out.read_bytes()))
+    return sweeps
+
+
+class TestCertifyContract:
+    """A perturbed normalization fails exactly the radial Gram records, by
+    |(1+δ)² − 1|; nothing else in a sweep depends on δ or on earlier sweeps."""
+
+    def test_exit_codes(self, certify_sweeps):
+        assert [code for _, code, _ in certify_sweeps] == [0, 2, 2, 0]
+
+    def test_failing_records(self, certify_sweeps):
+        for delta, _, report in certify_sweeps:
+            report = json.loads(report)
+            assert report["config"]["options"]["perturb_norm"] == delta
+            failing = {rec["equation_id"] for rec in report["checks"] if not rec["pass"]}
+            radial_gram = [rec for rec in report["checks"]
+                           if rec["equation_id"].startswith("orthonormality_radial_")]
+            assert radial_gram
+            if delta == 0.0:
+                assert not failing and report["all_pass"] is True
+                continue
+            assert failing == {rec["equation_id"] for rec in radial_gram}
+            for rec in radial_gram:
+                assert abs(rec["measured"] - abs((1.0 + delta) ** 2 - 1.0)) <= 1e-8
+
+    def test_eigensolver_records_equal(self, certify_sweeps):
+        def eigensolver_records(report):
+            return [rec for rec in json.loads(report)["checks"]
+                    if rec["equation_id"].startswith("eigensolver_")]
+
+        first = eigensolver_records(certify_sweeps[0][2])
+        assert [rec["equation_id"] for rec in first] == [
+            "eigensolver_closed_form_canonical", "eigensolver_closed_form_even",
+            "eigensolver_closed_form_odd"]
+        for _, _, report in certify_sweeps[1:]:
+            assert eigensolver_records(report) == first
+
+    def test_last_report_equals_first(self, certify_sweeps):
+        assert certify_sweeps[-1][2] == certify_sweeps[0][2]
+
+
+class TestFullVerify:
+    def test_full_sweep_passes(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run_cli("verify", "--out", str(out)) == 0
+        assert "all checks passed (21/21)" in capsys.readouterr().out
+        report = json.loads(out.read_text())
+        assert report["all_pass"] is True
+        assert report["config"]["options"]["fast"] is False
+        assert len(report["checks"]) == 21
+        assert all(chk["pass"] for chk in report["checks"])
+
+
 class TestUsageErrors:
     def test_no_subcommand(self):
         assert run_cli() == 1

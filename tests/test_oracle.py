@@ -19,6 +19,7 @@ from pdmwire.oracle import (
     build_radial_operator,
     limit_sweep_a_to_zero,
     lowest_eigenvalues,
+    lowest_eigenvalues_many,
     orthonormality_matrix,
     residual_angular,
     residual_radial,
@@ -196,6 +197,98 @@ class TestLowestEigenvalues:
         order2 = math.log2(errs[1] / errs[2])
         assert order1 >= 1.8
         assert order2 >= 1.8
+
+
+def _scaled(op, diag_scale=1.0, shift=0.0, off_scale=1.0):
+    return TridiagonalOperator(diag=op.diag * diag_scale + shift,
+                               offdiag=op.offdiag * off_scale,
+                               grid=op.grid, weight=op.weight)
+
+
+def _verify_batches(fast, names=("canonical", "even", "odd")):
+    families = [f for f in verification._eigensolver_families(fast) if f[0] in names]
+    return verification._eigensolver_batches(families)
+
+
+class TestLowestEigenvaluesMany:
+    # every batched result must be bit for bit the one-operator solve
+
+    def test_fast_verify_operators(self):
+        (k, ops), = _verify_batches(fast=True).items()
+        assert len(ops) == 6
+        assert lowest_eigenvalues_many(ops, k) == [lowest_eigenvalues(op, k) for op in ops]
+
+    def test_full_verify_canonical_operators(self):
+        (k, ops), = _verify_batches(fast=False, names=("canonical",)).items()
+        assert (k, len(ops)) == (4, 12)
+        assert lowest_eigenvalues_many(ops, k) == [lowest_eigenvalues(op, k) for op in ops]
+
+    def test_ladders_of_different_length(self):
+        ops = [_scaled(build_radial_operator(params_for(a=a), m_sq, 0, npoints=300),
+                       shift=shift)
+               for a, m_sq, shift in [(-0.6, 4.0, 0.0), (2.0, 1.0, 0.0), (0.0, 0.0, -50.0)]]
+        rungs = {oracle._ladder(oracle._checked_operator(op, 4)[3]).size for op in ops}
+        assert len(rungs) == 3
+        assert lowest_eigenvalues_many(ops, 4) == [lowest_eigenvalues(op, 4) for op in ops]
+
+    def test_operator_that_converges_first_drops_out(self, monkeypatch):
+        # eigenvalues ~1e-5 need fewer bisection levels than eigenvalues ~10
+        op = build_radial_operator(params_for(a=2.0), 1.0, 0, npoints=300)
+        ops = [op, _scaled(op, diag_scale=1e-6, off_scale=1e-6)]
+        expect = [lowest_eigenvalues(o, 4) for o in ops]
+        batch_sizes = []
+        count = oracle._sturm_count
+
+        def recording(diag, off_sq, shifts):
+            batch_sizes.append(diag.shape[0])
+            return count(diag, off_sq, shifts)
+
+        monkeypatch.setattr(oracle, "_sturm_count", recording)
+        assert lowest_eigenvalues_many(ops, 4) == expect
+        assert batch_sizes[0] == 2 and batch_sizes[-1] == 1
+        assert batch_sizes == sorted(batch_sizes, reverse=True)
+
+    def test_stacked_sturm_count_equals_rows(self):
+        ops = [build_radial_operator(params_for(a=a), 1.0, 0, npoints=300)
+               for a in (-0.6, 0.0, 2.0)]
+        diag = np.stack([op.diag for op in ops])
+        off_sq = np.stack([op.offdiag ** 2 for op in ops])
+        shifts = np.stack([np.linspace(-1.0, 40.0, 17) * (b + 1) for b in range(3)])
+        stacked = oracle._sturm_count(diag, off_sq, shifts)
+        assert stacked.shape == (3, 17)
+        for b in range(3):
+            assert np.array_equal(stacked[b], oracle._sturm_count(diag[b], off_sq[b], shifts[b]))
+
+    def test_empty_batch(self):
+        assert lowest_eigenvalues_many([], 3) == []
+
+    def test_rejects_mixed_sizes(self):
+        ops = [build_radial_operator(params_for(), 0.0, 0, npoints=n) for n in (300, 301)]
+        with pytest.raises(ValueError, match="same size"):
+            lowest_eigenvalues_many(ops, 1)
+
+    @pytest.mark.parametrize("k", [0, 21])
+    def test_rejects_bad_k(self, k):
+        op = build_radial_operator(params_for(), 0.0, 0, npoints=300)
+        with pytest.raises(ValueError):
+            lowest_eigenvalues_many([op, op], k)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_rejects_nan_in_any_operator(self, position):
+        op = build_radial_operator(params_for(), 0.0, 0, npoints=300)
+        ops = [op, op, op]
+        diag = op.diag.copy()
+        diag[17] = math.nan
+        ops[position] = TridiagonalOperator(diag=diag, offdiag=op.offdiag,
+                                            grid=op.grid, weight=op.weight)
+        with pytest.raises(ValueError):
+            lowest_eigenvalues_many(ops, 1)
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        op = build_radial_operator(params_for(a=0.0), 0.0, 0, npoints=300)
+        monkeypatch.setattr(oracle, "BISECTION_LEVELS", 1)
+        with pytest.raises(RuntimeError, match="did not reach"):
+            lowest_eigenvalues_many([op, _scaled(op, shift=-50.0)], 2)
 
 
 class TestResidualRadial:

@@ -268,3 +268,15 @@ class TestGaussLegendre:
             gauss_legendre(0)
         with pytest.raises(ValueError):
             gauss_legendre(MAX_QUAD_POINTS + 1)
+
+    @pytest.mark.parametrize("npoints", [1, 24, 32, 512])
+    def test_cached_rule_is_read_only_and_equals_a_fresh_build(self, npoints):
+        rule = gauss_legendre(npoints)
+        assert gauss_legendre(npoints) is rule
+        fresh = gauss_legendre.__wrapped__(npoints)
+        assert fresh is not rule
+        for cached, built in ((rule.nodes, fresh.nodes), (rule.weights, fresh.weights)):
+            assert not cached.flags.writeable
+            assert np.array_equal(cached, built)
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
