@@ -37,12 +37,31 @@ def exact_eigenvalue(p, parity, n, m):
     return nc.dimensionless_eigenvalue_nc(p, parity, n, m)
 
 
-def solver_eigenvalue(p, parity, n, m, npoints):
+def radial_operator(p, parity, n, m, npoints):
     br = branch(parity)
     me = br.m_index(p.gamma, m)
-    op = oracle.build_radial_operator(p, float(me * me), br.sign, npoints=npoints,
-                                      n_target=n + 2)
-    return oracle.lowest_eigenvalues(op, n + 1)[n]
+    return oracle.build_radial_operator(p, float(me * me), br.sign, npoints=npoints,
+                                        n_target=n + 2)
+
+
+def solver_eigenvalues(sizes):
+    """Eigenvalue n of every case at every size, keyed (label, size).
+
+    One lowest_eigenvalues_many call per (size, k): cases that share both
+    share their Sturm sweeps, and each gets the bits of a solve on its own.
+    k enters the shared stop test, so cases of different k stay apart.
+    """
+    by_k = {}
+    for case in CASES:
+        by_k.setdefault(case[4] + 1, []).append(case)
+    values = {}
+    for npoints in sizes:
+        for k, cases in by_k.items():
+            ops = [radial_operator(make_params(a=a, gamma=gamma), parity, n, m, npoints)
+                   for _, a, gamma, parity, n, m in cases]
+            for case, vals in zip(cases, oracle.lowest_eigenvalues_many(ops, k)):
+                values[case[0], npoints] = vals[case[4]]
+    return values
 
 
 def main():
@@ -52,6 +71,7 @@ def main():
     args = ap.parse_args()
     sizes = [int(tok) for tok in args.resolutions.split(",") if tok.strip()]
 
+    values = solver_eigenvalues(sizes)
     for label, a, gamma, parity, n, m in CASES:
         p = make_params(a=a, gamma=gamma)
         exact = exact_eigenvalue(p, parity, n, m)
@@ -60,7 +80,7 @@ def main():
         print(f"  {'N':>6}  {'eigenvalue':>18}  {'abs error':>12}  {'order':>6}")
         prev_err = None
         for npoints in sizes:
-            val = solver_eigenvalue(p, parity, n, m, npoints)
+            val = values[label, npoints]
             err = abs(val - exact)
             order = (f"{math.log2(prev_err / err):6.2f}"
                      if prev_err and err > 0.0 else "     -")

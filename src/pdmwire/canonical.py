@@ -56,14 +56,37 @@ def radial_profile(p: ModelParams, n: int, radicand: float):
     return nu, s, alpha_l, log_norm
 
 
+def _log_laguerre(n: int, alpha: float, t: np.ndarray):
+    """sign(L_n^(α)(t)) and log|L_n^(α)(t)|, free of overflow for finite t.
+
+    The recurrence of specialfn.laguerre, with both carried terms divided
+    by the larger of their magnitudes after every step and the logs of
+    those scales summed.  Slower than laguerre; radial_eval calls it only
+    where laguerre overflowed.
+    """
+    prev = np.ones_like(t)
+    cur = 1.0 + alpha - t
+    log_scale = np.zeros_like(t)
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 + alpha - t) * cur - (k + alpha) * prev) / (k + 1)
+        scale = np.maximum(np.abs(prev), np.abs(cur))
+        prev, cur = prev / scale, cur / scale
+        log_scale += np.log(scale)
+    with np.errstate(divide="ignore"):
+        return np.sign(cur), log_scale + np.log(np.abs(cur))
+
+
 def radial_eval(p: ModelParams, n: int, s: float, alpha_l: float,
                 log_norm: float, rho, norm_scale: float = 1.0):
     """Evaluate the normalized radial factor C ρ^s e^{-t/2} L_n^(α)(t).
 
     Assembled in log space (the Γ-ratio inside C and the ρ^s e^{-t/2}
     envelope can individually overflow long before their product does).
-    ρ = 0 returns 0 for s > 0, the finite limit for s = 0, and the +inf
-    sentinel for s < 0.
+    Far outside the state the Laguerre recurrence itself overflows; those
+    points are evaluated again with _log_laguerre, so the value is the
+    tiny (or underflowed 0) product rather than NaN, and every other point
+    is untouched.  ρ = 0 returns 0 for s > 0, the finite limit for s = 0,
+    and the +inf sentinel for s < 0.
     """
     rho_arr = np.asarray(rho, dtype=float)
     if not np.all(np.isfinite(rho_arr)):
@@ -72,16 +95,24 @@ def radial_eval(p: ModelParams, n: int, s: float, alpha_l: float,
         raise ValueError("rho must be >= 0")
     scalar = rho_arr.ndim == 0
     r = np.atleast_1d(rho_arr).astype(float)
-    t = (p.lambda0 * r) ** (2.0 * (p.a + 1.0)) / (p.a + 1.0)
-    lag = np.atleast_1d(laguerre(n, alpha_l, t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (p.lambda0 * r) ** (2.0 * (p.a + 1.0)) / (p.a + 1.0)
+        lag = np.atleast_1d(laguerre(n, alpha_l, t))
     out = np.zeros_like(r)
     pos = r > 0
     if np.any(pos):
         lv = lag[pos]
-        with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             # log|L| = -inf where L = 0; sign(L) = 0 there, so the value is 0
             logmag = log_norm + s * np.log(r[pos]) - 0.5 * t[pos] + np.log(np.abs(lv))
             out[pos] = norm_scale * np.sign(lv) * np.exp(logmag)
+    overflow = pos & ~np.isfinite(lag)
+    if np.any(overflow):
+        # where t itself overflowed, e^{-t/2} = 0 outweighs any power of t
+        t_over = t[overflow]
+        sign, log_lag = _log_laguerre(n, alpha_l, np.where(np.isinf(t_over), 0.0, t_over))
+        logmag = log_norm + s * np.log(r[overflow]) - 0.5 * t_over + log_lag
+        out[overflow] = norm_scale * sign * np.exp(logmag)
     if np.any(~pos):
         if s > 0:
             origin = 0.0

@@ -1,6 +1,8 @@
 """Tests for the canonical-branch closed forms: energies, norms, states."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import params_for
 from pdmwire.canonical import (
+    _log_laguerre,
     angular,
     axial,
     canonical_state,
@@ -22,6 +25,7 @@ from pdmwire.canonical import (
 )
 from pdmwire.noncanonical import radial_even, radial_odd
 from pdmwire.oracle import residual_radial
+from pdmwire.specialfn import laguerre
 
 
 @pytest.mark.parametrize("radial", [radial_wavefunction, radial_even, radial_odd])
@@ -165,6 +169,49 @@ class TestRadialWavefunction:
             vals = radial_wavefunction(p, n, 1, rho)
             crossings = int(np.sum(np.diff(np.sign(vals)) != 0))
             assert crossings == n
+
+    def test_far_tail_is_zero_not_nan(self):
+        # the Laguerre recurrence overflows at t = 1e18; e^{-t/2} underflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert radial_wavefunction(params_for(a=0.0), 20, 1, 1e9) == 0.0
+            assert radial_wavefunction(params_for(a=0.0), 20, 1, 1e300) == 0.0
+
+    def test_overflowing_recurrence_stays_finite(self):
+        # a=50, n=200 on [0, 2]: the plain recurrence overflows on 22 of 50
+        # points; there the state has decayed past 1e-200, and elsewhere the
+        # values are the unrepaired ones
+        p = params_for(a=50.0)
+        state = canonical_state(p, 200, 1)
+        rho = np.linspace(0.0, 2.0, 50)
+        vals = radial_wavefunction(p, 200, 1, rho)
+        assert np.all(np.isfinite(vals))
+        t = rho ** 102 / 51.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            overflowed = ~np.isfinite(laguerre(200, state.alpha_L, t))
+        assert np.count_nonzero(overflowed) == 22
+        assert np.all(np.abs(vals[overflowed]) <= 1e-200)
+        kept = np.flatnonzero(~overflowed)
+        assert np.array_equal(vals[kept], radial_wavefunction(p, 200, 1, rho[kept]))
+        assert np.max(np.abs(vals[kept])) > 1.0
+
+    @pytest.mark.parametrize("n,alpha,t", [(20, 0.5, 10 ** 17), (20, 0.5, 10 ** 18),
+                                           (200, 0.5, 3000), (200, 7.5, 10 ** 4),
+                                           (200, 7.5, 10 ** 17)])
+    def test_log_laguerre_matches_exact_rational_sum(self, n, alpha, t):
+        # the plain recurrence overflows at each of these t; α and t are
+        # exact binary floats, so the explicit sum can be summed exactly
+        binom, total = Fraction(1), Fraction(0)
+        for j in range(n + 1):                    # binom = C(n+α, j), k = n − j
+            k = n - j
+            total += (-1) ** k * binom * Fraction(t) ** k / math.factorial(k)
+            binom = binom * (n + Fraction(alpha) - j) / (j + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(laguerre(n, alpha, float(t)))
+        sign, log_abs = _log_laguerre(n, alpha, np.array([float(t)]))
+        assert sign[0] == (1.0 if total > 0 else -1.0)
+        expect = math.log(abs(total.numerator)) - math.log(total.denominator)
+        assert log_abs[0] == pytest.approx(expect, rel=1e-13)
 
     @pytest.mark.parametrize("a", [-0.6, 0.0, 2.0])
     def test_satisfies_radial_equation(self, a):

@@ -291,6 +291,110 @@ class TestLowestEigenvaluesMany:
             lowest_eigenvalues_many([op, _scaled(op, shift=-50.0)], 2)
 
 
+def reference_sturm_count(diag, off_sq, shifts):
+    """The guarded Sturm recurrence, one numpy expression per cell."""
+    d = diag[..., 0, None] - shifts
+    count = (d < 0.0).astype(int)
+    tiny = 1e-300
+    with np.errstate(over="ignore"):
+        for i in range(1, diag.shape[-1]):
+            d = np.where(np.abs(d) < tiny, -tiny, d)
+            d = diag[..., i, None] - shifts - off_sq[..., i - 1, None] / d
+            count += d < 0.0
+    return count
+
+
+def _zero_pivots(diag, off_sq, cells):
+    """diag changed so the pivots at `cells` are exactly 0 at shift 0.
+
+    Also returns the count at shift 0 without the zero-pivot guard, which
+    must differ from the guarded count for the zeros to matter.
+    """
+    diag = diag.copy()
+    guarded = unguarded = None
+    negatives = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(diag.size):
+            if i in cells:
+                diag[i] = 0.0 if i == 0 else off_sq[i - 1] / guarded
+            if i == 0:
+                d = unguarded = diag[0]
+            else:
+                d = diag[i] - off_sq[i - 1] / guarded
+                unguarded = diag[i] - off_sq[i - 1] / unguarded
+            assert (d == 0.0) == (i in cells)
+            guarded = -1e-300 if abs(d) < 1e-300 else d
+            negatives += unguarded < 0.0
+    return diag, negatives
+
+
+def _sturm_case(rng, batch, n):
+    diag = rng.uniform(1.0, 3.0, (batch, n))
+    off_sq = rng.uniform(0.25, 1.0, (batch, n - 1))
+    shifts = np.sort(rng.uniform(-0.5, 4.0, (batch, 5)), axis=1)
+    shifts[:, 1] = 0.0
+    return diag, off_sq, shifts
+
+
+class TestSturmCount:
+    # the blocked kernel must count exactly as the guarded per-cell loop
+
+    def test_radial_operators_stacked(self):
+        ops = [build_radial_operator(params_for(a=a, gamma=g), m_sq, sign, npoints=1000)
+               for a, g, m_sq, sign in [(-0.6, 0.5, 4.0, 0), (0.0, 0.5, 0.0, 0),
+                                        (2.0, 1.3, 9.0, -1), (1.1, 1.7, 1.0, 1)]]
+        diag = np.stack([op.diag for op in ops])
+        off_sq = np.stack([op.offdiag ** 2 for op in ops])
+        rng = np.random.default_rng(12)
+        for width in (1, 15, 63, 700):
+            shifts = np.sort(rng.uniform(-5.0, 200.0, (len(ops), width)), axis=1)
+            expect = reference_sturm_count(diag, off_sq, shifts)
+            assert np.array_equal(oracle._sturm_count(diag, off_sq, shifts), expect)
+            assert np.array_equal(oracle._sturm_count(diag[2], off_sq[2], shifts[2]), expect[2])
+
+    @pytest.mark.parametrize("block_rows,n", [(7, 50), (7, 8), (1, 20), (49, 50), (64, 50)])
+    def test_sizes_not_a_multiple_of_the_block(self, monkeypatch, block_rows, n):
+        diag, off_sq, shifts = _sturm_case(np.random.default_rng(n), 3, n)
+        monkeypatch.setattr(oracle, "_STURM_BLOCK_BYTES", 8 * shifts.size * block_rows)
+        assert np.array_equal(oracle._sturm_count(diag, off_sq, shifts),
+                              reference_sturm_count(diag, off_sq, shifts))
+
+    def test_default_block_on_a_long_operator(self):
+        op = build_radial_operator(params_for(a=0.4), 1.0, 0, npoints=4001)
+        off_sq = op.offdiag ** 2
+        shifts = np.linspace(0.0, 90.0, 15)
+        assert (op.diag.size - 1) % (oracle._STURM_BLOCK_BYTES // (8 * shifts.size)) != 0
+        assert np.array_equal(oracle._sturm_count(op.diag, off_sq, shifts),
+                              reference_sturm_count(op.diag, off_sq, shifts))
+
+    @pytest.mark.parametrize("cells", [(0,), (10,), (14,), (7, 8), (0, 1, 2), (10, 14, 21, 49)])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_zero_pivots(self, monkeypatch, cells, row):
+        # seven cells per block: blocks hold cells 1–7, 8–14, 15–21, …, so
+        # cell 10 sits mid-block and cells 7, 14 and 21 on a block's last row
+        diag, off_sq, shifts = _sturm_case(np.random.default_rng(5), 3, 50)
+        diag[row], unguarded = _zero_pivots(diag[row], off_sq[row], cells)
+        monkeypatch.setattr(oracle, "_STURM_BLOCK_BYTES", 8 * shifts.size * 7)
+        expect = reference_sturm_count(diag, off_sq, shifts)
+        assert expect[row, 1] != unguarded
+        assert np.array_equal(oracle._sturm_count(diag, off_sq, shifts), expect)
+
+    def test_zero_over_zero(self):
+        # zero coupling after a zero pivot: unguarded, 0/0 is NaN and hides
+        # the last, negative pivot
+        diag = np.array([2.0, 1.0, 3.0, 0.5])
+        args = (diag, np.zeros(3), np.array([1.0]))
+        assert reference_sturm_count(*args).tolist() == [1]
+        assert oracle._sturm_count(*args).tolist() == [1]
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_multisection_depth_does_not_change_bits(self, monkeypatch, depth):
+        (k, ops), = _verify_batches(fast=True).items()
+        expect = lowest_eigenvalues_many(ops, k)
+        monkeypatch.setattr(oracle, "MULTISECTION_DEPTH", depth)
+        assert lowest_eigenvalues_many(ops, k) == expect
+
+
 class TestResidualRadial:
     def test_oscillator_ground_at_rounding_level(self):
         report = residual_radial("canonical", params_for(a=0.0), 0, 0)
