@@ -48,6 +48,8 @@ INVOCATIONS = [
     ["potential", "--a=-0.6,0,2", "--npoints", "51"],
     ["verify", "--fast", "--out", "report.json"],
     ["verify", "--fast", "--perturb-norm", "0.01", "--out", "report.json"],
+    ["verify", "--fast", "--perturb-norm", "nan"],
+    ["verify", "--out", "report.json"],
 ]
 
 

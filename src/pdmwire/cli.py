@@ -365,8 +365,11 @@ def _cmd_density(args) -> int:
 def _cmd_verify(args) -> int:
     defaults = {"fast": False, "perturb_norm": 0.0, "out": None}
     options = _resolve(args, defaults)
-    records, all_pass = run_verification(perturb_norm=options["perturb_norm"],
-                                         fast=options["fast"])
+    try:
+        records, all_pass = run_verification(perturb_norm=options["perturb_norm"],
+                                             fast=options["fast"])
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     for rec in records:
         status = "PASS" if rec["pass"] else "FAIL"
         print(f"{status} {rec['equation_id']}: measured={rec['measured']:.3e} "

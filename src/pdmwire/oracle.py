@@ -45,7 +45,7 @@ BISECTION_TOL = 1e-10
 BISECTION_LEVELS = 200       # cap on multisection sweeps per solve
 MULTISECTION_DEPTH = 4       # bisection levels per sweep: 2^4 − 1 shifts each
 _STURM_BLOCK_BYTES = 1 << 16  # pivots per Sturm-count block: 64 KiB, 8192 doubles
-_TINY_PIVOT = 1e-300          # a smaller pivot divides as −1e-300
+_TINY_PIVOT = 1e-300          # a smaller pivot is stored as −1e-300
 
 RADIAL_BRANCHES = ("canonical", "even", "odd")
 ANGULAR_BRANCHES = ("angular_even", "angular_odd")
@@ -165,21 +165,25 @@ def build_radial_operator(p: ModelParams, m_eff_sq_term: float, parity_sign: int
 
 
 def _sturm_count(diag: np.ndarray, off_sq: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Eigenvalue counts strictly below each shift, via the Sturm sequence.
+    """Eigenvalue counts below each shift, via the Sturm sequence.
 
     Operators may be stacked: diag (..., N), off_sq (..., N−1) and shifts
     (..., S), with the same leading shape, give counts (..., S).  The
     pivots follow the guarded recurrence
     d_i = (diag_i − shift) − off_sq_{i−1} / d_{i−1}, where a pivot smaller
-    than 1e-300 in magnitude divides as −1e-300, and every count sees the
-    same arithmetic as a one-operator call.
+    than 1e-300 in magnitude is stored as −1e-300: it counts as negative,
+    as in LAPACK's dstebz, and divides as −1e-300.  An eigenvalue that
+    equals a shift in floating point may so count as below it, and the
+    count stays monotone in the shift.  Every count sees the same
+    arithmetic as a one-operator call.
 
     The cells run in blocks of _STURM_BLOCK_BYTES of pivots, all operators
     and shifts of a cell side by side in one row.  A block first runs
-    unguarded, two in-place ufunc calls per cell; only if the pivot it
-    starts from or one of its own is tiny, zero or NaN is it run again with
-    the guard.  A divisor that passes that check is one the guard leaves
-    alone, so both runs give the same bits.
+    unguarded, two in-place ufunc calls per cell; only if one of its
+    pivots is tiny, zero or NaN is it run again with the guard, which
+    stores each tiny pivot as −1e-300.  The pivot a block starts from is
+    already stored so, and a divisor that passes the check is one the guard
+    leaves alone, so both runs give the same bits.
     """
     batch, n, s = shifts.shape[:-1], diag.shape[-1], shifts.shape[-1]
     ops = math.prod(batch)
@@ -195,6 +199,7 @@ def _sturm_count(diag: np.ndarray, off_sq: np.ndarray, shifts: np.ndarray) -> np
     flat_pivots = pivots.reshape(block + 1, width)
     flat_coupling = coupling.reshape(block, width)
     np.subtract(diag[:, 0, None], shifts, out=pivots[0])
+    np.copyto(flat_pivots[0], -_TINY_PIVOT, where=np.abs(flat_pivots[0]) < _TINY_PIVOT)
     count = (flat_pivots[0] < 0.0).astype(int)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for lo in range(1, n, block):
@@ -209,9 +214,9 @@ def _sturm_count(diag: np.ndarray, off_sq: np.ndarray, shifts: np.ndarray) -> np
             if not np.all(np.abs(d) >= _TINY_PIVOT):
                 np.subtract(cells, shifts, out=pivots[1:rows + 1])
                 for e_i, prev, cur in zip(e, d[:-1], d[1:]):
-                    np.divide(e_i, np.where(np.abs(prev) < _TINY_PIVOT, -_TINY_PIVOT, prev),
-                              out=quotient)
+                    np.divide(e_i, prev, out=quotient)
                     np.subtract(cur, quotient, out=cur)
+                    np.copyto(cur, -_TINY_PIVOT, where=np.abs(cur) < _TINY_PIVOT)
             count += np.count_nonzero(d[1:] < 0.0, axis=0)
             d[0] = d[rows]
     return count.reshape(batch + (s,))

@@ -491,6 +491,19 @@ class TestUsageErrors:
         cfg.write_text("parity = sideways\n")
         assert run_cli(command, "--config", str(cfg)) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_verify_non_finite_perturb_norm(self, tmp_path, capsys, value):
+        out = tmp_path / "report.json"
+        assert run_cli("verify", "--fast", f"--perturb-norm={value}", "--out", str(out)) == 1
+        assert "perturb_norm must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_verify_config_non_finite_perturb_norm(self, tmp_path, value):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text(f"fast = true\nperturb_norm = {value}\n")
+        assert run_cli("verify", "--config", str(cfg)) == 1
+
     def test_unopenable_out_path(self, tmp_path, capsys):
         out = tmp_path / "missing" / "dens.csv"
         assert run_cli("density", "--ngrid", "11", "--out", str(out)) == 1

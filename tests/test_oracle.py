@@ -292,14 +292,19 @@ class TestLowestEigenvaluesMany:
 
 
 def reference_sturm_count(diag, off_sq, shifts):
-    """The guarded Sturm recurrence, one numpy expression per cell."""
-    d = diag[..., 0, None] - shifts
-    count = (d < 0.0).astype(int)
+    """The guarded Sturm recurrence, one numpy expression per cell.
+
+    A pivot below 1e-300 in magnitude is stored as −1e-300, so it counts as
+    negative (LAPACK dstebz's convention) and divides as −1e-300.
+    """
     tiny = 1e-300
+    d = diag[..., 0, None] - shifts
+    d = np.where(np.abs(d) < tiny, -tiny, d)
+    count = (d < 0.0).astype(int)
     with np.errstate(over="ignore"):
         for i in range(1, diag.shape[-1]):
-            d = np.where(np.abs(d) < tiny, -tiny, d)
             d = diag[..., i, None] - shifts - off_sq[..., i - 1, None] / d
+            d = np.where(np.abs(d) < tiny, -tiny, d)
             count += d < 0.0
     return count
 
@@ -307,24 +312,19 @@ def reference_sturm_count(diag, off_sq, shifts):
 def _zero_pivots(diag, off_sq, cells):
     """diag changed so the pivots at `cells` are exactly 0 at shift 0.
 
-    Also returns the count at shift 0 without the zero-pivot guard, which
-    must differ from the guarded count for the zeros to matter.
+    Also returns the count at shift 0 with each zero pivot counted as
+    non-negative; the guarded count must exceed it by one per zero.
     """
     diag = diag.copy()
-    guarded = unguarded = None
+    guarded = None
     negatives = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(diag.size):
-            if i in cells:
-                diag[i] = 0.0 if i == 0 else off_sq[i - 1] / guarded
-            if i == 0:
-                d = unguarded = diag[0]
-            else:
-                d = diag[i] - off_sq[i - 1] / guarded
-                unguarded = diag[i] - off_sq[i - 1] / unguarded
-            assert (d == 0.0) == (i in cells)
-            guarded = -1e-300 if abs(d) < 1e-300 else d
-            negatives += unguarded < 0.0
+    for i in range(diag.size):
+        if i in cells:
+            diag[i] = 0.0 if i == 0 else off_sq[i - 1] / guarded
+        d = diag[0] if i == 0 else diag[i] - off_sq[i - 1] / guarded
+        assert (d == 0.0) == (i in cells)
+        guarded = -1e-300 if abs(d) < 1e-300 else d
+        negatives += d < 0.0
     return diag, negatives
 
 
@@ -373,19 +373,45 @@ class TestSturmCount:
         # seven cells per block: blocks hold cells 1–7, 8–14, 15–21, …, so
         # cell 10 sits mid-block and cells 7, 14 and 21 on a block's last row
         diag, off_sq, shifts = _sturm_case(np.random.default_rng(5), 3, 50)
-        diag[row], unguarded = _zero_pivots(diag[row], off_sq[row], cells)
+        diag[row], zero_non_negative = _zero_pivots(diag[row], off_sq[row], cells)
         monkeypatch.setattr(oracle, "_STURM_BLOCK_BYTES", 8 * shifts.size * 7)
         expect = reference_sturm_count(diag, off_sq, shifts)
-        assert expect[row, 1] != unguarded
+        assert expect[row, 1] == zero_non_negative + len(cells)
         assert np.array_equal(oracle._sturm_count(diag, off_sq, shifts), expect)
 
     def test_zero_over_zero(self):
         # zero coupling after a zero pivot: unguarded, 0/0 is NaN and hides
-        # the last, negative pivot
+        # the last, negative pivot; the zero pivot itself (eigenvalue 1 at
+        # shift 1) counts as negative
         diag = np.array([2.0, 1.0, 3.0, 0.5])
         args = (diag, np.zeros(3), np.array([1.0]))
-        assert reference_sturm_count(*args).tolist() == [1]
-        assert oracle._sturm_count(*args).tolist() == [1]
+        assert reference_sturm_count(*args).tolist() == [2]
+        assert oracle._sturm_count(*args).tolist() == [2]
+
+    def test_zero_pivot_counts_as_negative(self):
+        # at shift 2 the first pivot is exactly 0; counted as non-negative it
+        # would drop the eigenvalue 0.1206 below 2 and break monotonicity
+        diag, off = np.array([2.0, 1.0, 3.0]), np.array([1.0, 1.0])
+        shifts = np.array([1.9999999, 2.0, 2.0000001])
+        eigs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        assert np.count_nonzero(eigs < 2.0) == 1
+        assert reference_sturm_count(diag, off ** 2, shifts).tolist() == [1, 1, 1]
+        assert oracle._sturm_count(diag, off ** 2, shifts).tolist() == [1, 1, 1]
+
+    def test_counts_monotone_through_zero_pivots(self):
+        # shifts on every diagonal entry put exact zero pivots at cell 0
+        # and, through the integer entries, at later cells too
+        rng = np.random.default_rng(7)
+        diag = np.stack([[2.0, 1.0, 3.0, 2.0, 1.0], *rng.integers(0, 4, (5, 5))]).astype(float)
+        off_sq = np.stack([[1.0] * 4, *rng.integers(0, 3, (5, 4))]).astype(float)
+        grid = np.linspace(-3.0, 7.0, 1001)
+        shifts = np.sort(np.concatenate(
+            [np.broadcast_to(grid, (6, grid.size)), diag, np.nextafter(diag, np.inf),
+             np.nextafter(diag, -np.inf)], axis=1), axis=1)
+        counts = oracle._sturm_count(diag, off_sq, shifts)
+        assert np.array_equal(counts, reference_sturm_count(diag, off_sq, shifts))
+        assert np.all(np.diff(counts, axis=1) >= 0)
+        assert np.all(counts[:, 0] == 0) and np.all(counts[:, -1] == 5)
 
     @pytest.mark.parametrize("depth", range(1, 9))
     def test_multisection_depth_does_not_change_bits(self, monkeypatch, depth):
@@ -542,7 +568,43 @@ class TestVerificationSweep:
     def test_full_canonical_eigensolver_check_passes(self):
         # the domain is sized for the levels solved (n_target = n_max + 1);
         # the default n_target = 6 missed the 1e-3 tolerance at a = -0.6
-        records = []
-        verification._check_eigensolver_canonical(records, fast=False)
-        (record,) = records
+        row = next(row for row in verification._table(fast=False, perturb_norm=0.0)
+                   if row[0] == "eigensolver_closed_form_canonical")
+        record = verification._record(*row[:3], verification._worst(row[3]))
         assert record["pass"], record
+
+    def test_worst_keeps_nan(self):
+        worst = verification._worst
+        assert worst([]) == 0.0 and worst([], lowest=True) == math.inf
+        assert worst([3e-9, 1e-8, 2e-9]) == 1e-8
+        assert worst([0.4, 0.2, 0.3], lowest=True) == 0.2
+        for values in ([math.nan], [1e-9, math.nan, 2e-9], [math.nan, 0.0]):
+            assert math.isnan(worst(values)) and math.isnan(worst(values, lowest=True))
+
+    def test_nan_measurement_fails_its_record(self, monkeypatch):
+        # a NaN among finite residuals must fail the record, not vanish in a max
+        residual_radial = oracle.residual_radial
+
+        def nan_at_canonical_ground(branch, p, n, m, **kwargs):
+            report = residual_radial(branch, p, n, m, **kwargs)
+            if (branch, n, m) == ("canonical", 0, 0):
+                report = ResidualReport(math.nan, report.argmax_rho_or_phi,
+                                        report.npoints, report.equation_id)
+            return report
+
+        monkeypatch.setattr(oracle, "residual_radial", nan_at_canonical_ground)
+        records, all_pass = verification.run_verification(fast=True)
+        by_id = {rec["equation_id"]: rec for rec in records}
+        assert by_id["radial_ode_canonical"]["pass"] is False
+        assert math.isnan(by_id["radial_ode_canonical"]["measured"])
+        assert by_id["radial_ode_even"]["pass"] and by_id["radial_ode_odd"]["pass"]
+        assert all_pass is False
+
+    @pytest.mark.parametrize("perturb_norm", [math.nan, math.inf, -math.inf])
+    def test_non_finite_perturb_norm_raises(self, monkeypatch, perturb_norm):
+        def no_solve(ops, k):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(oracle, "lowest_eigenvalues_many", no_solve)
+        with pytest.raises(ValueError, match="perturb_norm"):
+            verification.run_verification(perturb_norm=perturb_norm, fast=True)
