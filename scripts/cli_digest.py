@@ -44,6 +44,10 @@ INVOCATIONS = [
      "--m", "0", "--ngrid", "51", "--out", "dens.csv"],
     ["density", "--a=0.5", "--gamma", "1", "--parity", "odd", "--n", "0",
      "--m", "2", "--ngrid", "51", "--out", "dens.csv"],
+    ["density", "--a=0.5", "--gamma", "1", "--parity", "odd", "--n", "0",
+     "--m", "2", "--ngrid", "50", "--out", "dens.csv"],
+    ["density", "--a=0.34", "--gamma", "0.83", "--parity", "even", "--n", "6",
+     "--m", "0", "--ngrid", "51", "--out", "dens.csv"],
     ["potential", "--a=-0.6,0,2", "--rho-max", "4", "--outdir", "traces"],
     ["potential", "--a=-0.6,0,2", "--npoints", "51"],
     ["verify", "--fast", "--out", "report.json"],

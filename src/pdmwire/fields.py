@@ -15,9 +15,14 @@ grid-motivated conventions, both recorded in the output metadata:
   average depends on ρ and the state only, so rotational invariance of
   canonical rasters is preserved exactly.
 
-Lattice radii are computed as h·√(i²+j²) from integer offsets, so every
-geometric ring shares one floating-point radius (and hence one value in
-the canonical branch: ring spread is exactly zero).
+Every plane density has the D4 symmetry of the square lattice: canonical
+ones depend on ρ only, and non-canonical ones on ρ and η = cos 2φ through
+(1−η²)^{2β}·C_m(η)², with C_m(−η)² = C_m(η)².  So a raster is evaluated
+on the octant 0 ≤ dy ≤ dx of the doubled integer offsets only and mirrored
+into the other seven images; every raster is exactly D4-symmetric.  The
+radial factor is taken once per distinct ksq = dx²+dy², at the radius
+(h/2)·√ksq, so every geometric ring shares one floating-point radius (and
+hence one value in the canonical branch: ring spread is exactly zero).
 """
 from __future__ import annotations
 
@@ -183,9 +188,17 @@ def build_density_field(p: ModelParams, n: int, m: int, parity: str = "none",
     non-canonical branches (m ≥ 0, even requires γ > 1/2).  half_width
     overrides the automatic mass-quantile window; both the window and the
     origin-regularization convention land in the metadata.
+
+    Only the octant 0 ≤ y ≤ x is evaluated (and disc-averaged where the
+    origin rule applies); the other cells are its exact mirror images, so
+    values, flipud(values), fliplr(values) and values.T are equal.  Raises
+    ValueError for a half_width that is not finite and > 0 and for a
+    mass_tail outside (0, 1).
     """
     if ngrid < 2:
         raise ValueError("ngrid must be at least 2")
+    if not 0.0 < mass_tail < 1.0:
+        raise ValueError("mass_tail must lie in (0, 1)")
     br = branch(parity)
     br.check_wavefunction(p.gamma)
     radicand = br.radicand(p, m)
@@ -197,13 +210,20 @@ def build_density_field(p: ModelParams, n: int, m: int, parity: str = "none",
     else:
         window_rule = "explicit"
     half_width = float(half_width)
+    if not (math.isfinite(half_width) and half_width > 0.0):
+        raise ValueError("half_width must be finite and > 0")
 
     h = 2.0 * half_width / (ngrid - 1)
-    # doubled integer offsets: exact for odd and even ngrid alike
+    # doubled integer offsets (exact for odd and even ngrid alike); q holds the
+    # quarter's offsets |d| and fold maps each of the ngrid offsets onto q
     dd = 2 * np.arange(ngrid, dtype=np.int64) - (ngrid - 1)
-    dx, dy = np.meshgrid(dd, dd)            # dy varies along rows (y), dx along columns
+    q = dd[ngrid // 2:]
+    fold = (np.abs(dd) - q[0]) // 2
+    iy, ix = np.triu_indices(q.size)        # the octant 0 ≤ dy ≤ dx
+    dx, dy = q[ix], q[iy]
     ksq = dx * dx + dy * dy
-    rho = 0.5 * h * np.sqrt(ksq.astype(float))
+    ku, inverse = np.unique(ksq, return_inverse=True)
+    rho_u = 0.5 * h * np.sqrt(ku.astype(float))
 
     def radial_sq(r):
         val = radial_eval(p, n, s, alpha_l, log_norm, r)
@@ -213,22 +233,20 @@ def build_density_field(p: ModelParams, n: int, m: int, parity: str = "none",
     rc = h / math.sqrt(math.pi)
     cut_ksq = 4 * ORIGIN_CUT_CELLS * ORIGIN_CUT_CELLS   # ρ < 24 h in doubled-offset units
 
+    with np.errstate(invalid="ignore"):
+        radial_u = radial_sq(rho_u)
     if br.sign == 0:
-        ku, inverse = np.unique(ksq, return_inverse=True)
-        rho_u = 0.5 * h * np.sqrt(ku.astype(float))
-        with np.errstate(invalid="ignore"):
-            vals_u = radial_sq(rho_u) / TWO_PI
+        vals_u = radial_u / TWO_PI
         if needs_avg:
             sel = ku < cut_ksq
             vals_u[sel] = _disc_averages(lambda x, y: radial_sq(np.hypot(x, y)) / TWO_PI,
                                          radial_sq, s, rc, rho_u[sel], np.zeros(sel.sum()))
-        values = vals_u[inverse].reshape(ngrid, ngrid)
+        octant = vals_u[inverse]
     else:
-        phi = np.arctan2(dy.astype(float), dx.astype(float)) % TWO_PI
-        ang = nc._angular(p, parity, m, phi, strict=False)
+        ang = nc._angular(p, parity, m, np.arctan2(dy.astype(float), dx.astype(float)),
+                          strict=False)
         with np.errstate(invalid="ignore"):
-            dr = radial_sq(rho)
-            values = dr * np.square(ang)
+            octant = radial_u[inverse] * np.square(ang)
         if needs_avg:
             mask = ksq < cut_ksq
             cx = (0.5 * h) * dx[mask].astype(float)
@@ -238,7 +256,11 @@ def build_density_field(p: ModelParams, n: int, m: int, parity: str = "none",
                 ph = np.arctan2(y, x) % TWO_PI
                 return radial_sq(np.hypot(x, y)) * np.square(nc._angular(p, parity, m, ph, strict=False))
 
-            values[mask] = _disc_averages(dens2d, radial_sq, s, rc, cx, cy)
+            octant[mask] = _disc_averages(dens2d, radial_sq, s, rc, cx, cy)
+    quarter = np.empty((q.size, q.size))
+    quarter[iy, ix] = octant
+    quarter[ix, iy] = octant
+    values = quarter[np.ix_(fold, fold)]     # rows follow y (dy), columns x (dx)
 
     metadata = {
         "branch": br.family,
@@ -275,7 +297,9 @@ def potential_trace(p: ModelParams, rho_max: float = None, npoints: int = 401):
 
 def radial_trace(p: ModelParams, n: int, m: int, parity: str = "none",
                  rho_max: float = None, npoints: int = 801):
-    """(ρ, P(ρ)) for the requested branch on a uniform grid."""
+    """(ρ, P(ρ)) for the requested branch on a uniform grid of npoints ≥ 2."""
+    if npoints < 2:
+        raise ValueError("npoints must be >= 2")
     _, s, alpha_l, log_norm = radial_profile(p, n, branch(parity).radicand(p, m))
     if rho_max is None:
         rho_max = _mass_window(p, n, alpha_l, MASS_TAIL_DEFAULT)
@@ -291,6 +315,8 @@ def angular_trace(p: ModelParams, m: int, parity: str = "none", npoints: int = 7
     confinement angle; there a non-canonical trace carries the analytic
     limit 0, as the density paths do.
     """
+    if npoints < 1:
+        raise ValueError("npoints must be >= 1")
     phi = (np.arange(npoints) + 0.5) * (TWO_PI / npoints)
     if branch(parity).sign == 0:
         return phi, can.angular(m, phi)

@@ -504,6 +504,21 @@ class TestUsageErrors:
         cfg.write_text(f"fast = true\nperturb_norm = {value}\n")
         assert run_cli("verify", "--config", str(cfg)) == 1
 
+    @pytest.mark.parametrize("value", ["0", "-2", "nan", "inf"])
+    def test_density_degenerate_half_width(self, tmp_path, capsys, value):
+        out = tmp_path / "dens.csv"
+        assert run_cli("density", "--ngrid", "11", f"--half-width={value}",
+                       "--out", str(out)) == 1
+        assert "half_width must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trace, npoints", [("radial", "0"), ("radial", "1"),
+                                                ("angular", "0"), ("angular", "-3")])
+    def test_wavefunction_degenerate_npoints(self, capsys, trace, npoints):
+        assert run_cli("wavefunction", "--trace", trace, f"--npoints={npoints}") == 1
+        captured = capsys.readouterr()
+        assert "npoints must be >=" in captured.err and captured.out == ""
+
     def test_unopenable_out_path(self, tmp_path, capsys):
         out = tmp_path / "missing" / "dens.csv"
         assert run_cli("density", "--ngrid", "11", "--out", str(out)) == 1

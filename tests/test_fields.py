@@ -6,17 +6,78 @@ import numpy as np
 import pytest
 
 from conftest import params_for, ring_relative_spread
-from pdmwire.canonical import density, radial_wavefunction
+from pdmwire import noncanonical as nc
+from pdmwire.canonical import density, radial_eval, radial_profile, radial_wavefunction
 from pdmwire.fields import (
+    ORIGIN_CUT_CELLS,
+    TWO_PI,
     DensityField,
+    _analytic_at_origin,
+    _disc_averages,
     angular_trace,
     build_density_field,
     potential_trace,
     radial_trace,
     riemann_mass,
 )
-from pdmwire.model import potential_at
+from pdmwire.model import branch, potential_at
 from pdmwire.noncanonical import SINGULAR_ANGLES, angular_even, angular_odd
+
+
+def reference_density_field(p, n, m, parity, ngrid, half_width):
+    """Raster values evaluated on every cell of the full grid, with no mirroring."""
+    br = branch(parity)
+    _, s, alpha_l, log_norm = radial_profile(p, n, br.radicand(p, m))
+    h = 2.0 * half_width / (ngrid - 1)
+    dd = 2 * np.arange(ngrid, dtype=np.int64) - (ngrid - 1)
+    dx, dy = np.meshgrid(dd, dd)
+    ksq = dx * dx + dy * dy
+    rho = 0.5 * h * np.sqrt(ksq.astype(float))
+
+    def radial_sq(r):
+        return np.square(radial_eval(p, n, s, alpha_l, log_norm, r))
+
+    needs_avg = (2.0 * s + 2.0 < 4.0) and not _analytic_at_origin(p.a, s)
+    rc = h / math.sqrt(math.pi)
+    cut_ksq = 4 * ORIGIN_CUT_CELLS * ORIGIN_CUT_CELLS
+    if br.sign == 0:
+        ku, inverse = np.unique(ksq, return_inverse=True)
+        rho_u = 0.5 * h * np.sqrt(ku.astype(float))
+        with np.errstate(invalid="ignore"):
+            vals_u = radial_sq(rho_u) / TWO_PI
+        if needs_avg:
+            sel = ku < cut_ksq
+            vals_u[sel] = _disc_averages(lambda x, y: radial_sq(np.hypot(x, y)) / TWO_PI,
+                                         radial_sq, s, rc, rho_u[sel], np.zeros(sel.sum()))
+        return vals_u[inverse].reshape(ngrid, ngrid)
+    phi = np.arctan2(dy.astype(float), dx.astype(float)) % TWO_PI
+    ang = nc._angular(p, parity, m, phi, strict=False)
+    with np.errstate(invalid="ignore"):
+        values = radial_sq(rho) * np.square(ang)
+    if needs_avg:
+        mask = ksq < cut_ksq
+
+        def dens2d(x, y):
+            ph = np.arctan2(y, x) % TWO_PI
+            return radial_sq(np.hypot(x, y)) * np.square(nc._angular(p, parity, m, ph,
+                                                                     strict=False))
+
+        values[mask] = _disc_averages(dens2d, radial_sq, s, rc, (0.5 * h) * dx[mask],
+                                      (0.5 * h) * dy[mask])
+    return values
+
+
+#: (parity, a, gamma, n, m, half_width): every branch, origin disc averaging in
+#: the canonical and the non-canonical branch, and an explicit window
+OCTANT_STATES = [
+    ("none", 2.0, 0.5, 1, 1, None),
+    ("none", -0.6, 0.5, 0, 0, None),
+    ("none", 1.0, 0.5, 2, -1, 3.5),
+    ("even", 2.0, 1.5, 1, 1, None),
+    ("even", 0.34, 0.83, 6, 0, None),
+    ("odd", 0.5, 1.0, 0, 2, None),
+    ("odd", 1.0, 1.0, 1, 1, 2.5),
+]
 
 
 class TestBuildDensityField:
@@ -109,6 +170,71 @@ class TestBuildDensityField:
         fld = build_density_field(p, 0, 0, ngrid=21)
         assert fld.metadata["units"] == "custom"
         assert fld.metadata["m0"] == 0.067
+
+
+class TestOctantRaster:
+    @pytest.fixture(scope="class", params=OCTANT_STATES, ids=lambda st: "-".join(map(str, st)))
+    def state(self, request):
+        return request.param
+
+    @pytest.fixture(scope="class", params=[2, 3, 50, 51, 201])
+    def rasters(self, request, state):
+        """(field, full-grid reference values), built once per state and ngrid."""
+        parity, a, gamma, n, m, half_width = state
+        ngrid = request.param
+        p = params_for(a=a, gamma=gamma)
+        fld = build_density_field(p, n, m, parity=parity, ngrid=ngrid, half_width=half_width)
+        ref = reference_density_field(p, n, m, parity, ngrid, fld.metadata["half_width"])
+        return fld, ref
+
+    def test_matches_full_grid_evaluation(self, rasters):
+        fld, ref = rasters
+        values, ngrid = fld.values, fld.nx
+        if fld.metadata["parity"] == "none":
+            assert values.tobytes() == ref.tobytes()
+            return
+        dd = 2 * np.arange(ngrid) - (ngrid - 1)
+        dx, dy = np.meshgrid(dd, dd)
+        octant = (dy >= 0) & (dx >= dy)
+        assert values[octant].tobytes() == ref[octant].tobytes()
+        # every other cell carries the value of its octant image
+        to_index = lambda d: (d + ngrid - 1) // 2
+        lo, hi = np.minimum(abs(dx), abs(dy)), np.maximum(abs(dx), abs(dy))
+        assert np.array_equal(values, values[to_index(lo), to_index(hi)])
+        assert np.max(np.abs(values - ref)) <= 1e-13 * np.max(ref)
+
+    def test_exact_d4_symmetry(self, rasters):
+        fld = rasters[0]
+        values = fld.values
+        for image in (np.flipud(values), np.fliplr(values), values.T):
+            assert image.tobytes() == values.tobytes()
+        if (fld.metadata["parity"] != "none" and fld.nx % 2 == 1
+                and fld.metadata["origin_regularization"] == "none"):
+            # the lattice axes are confinement angles: exact zeros
+            c = fld.nx // 2
+            assert np.all(values[c, :] == 0.0) and np.all(values[:, c] == 0.0)
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("half_width", [0.0, -1.0, math.nan, math.inf])
+    def test_half_width_must_be_finite_and_positive(self, half_width):
+        with pytest.raises(ValueError, match="half_width"):
+            build_density_field(params_for(), 0, 0, ngrid=11, half_width=half_width)
+
+    @pytest.mark.parametrize("mass_tail", [math.nan, 0.0, 1.0, 1.5, -0.1])
+    def test_mass_tail_must_lie_in_the_unit_interval(self, mass_tail):
+        with pytest.raises(ValueError, match="mass_tail"):
+            build_density_field(params_for(), 0, 0, ngrid=11, mass_tail=mass_tail)
+
+    @pytest.mark.parametrize("npoints", [-3, 0, 1])
+    def test_radial_trace_needs_two_points(self, npoints):
+        with pytest.raises(ValueError, match="npoints"):
+            radial_trace(params_for(), 0, 0, npoints=npoints)
+
+    @pytest.mark.parametrize("npoints", [-3, 0])
+    def test_angular_trace_needs_one_point(self, npoints):
+        with pytest.raises(ValueError, match="npoints"):
+            angular_trace(params_for(gamma=1.0), 0, parity="even", npoints=npoints)
 
 
 class TestPotentialTrace:
